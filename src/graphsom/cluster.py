@@ -1,20 +1,21 @@
 """Lloyd k-means, spectral clustering, kernel k-means, q-modularity, stats.
 
-The explicit and kernel k-means variants are deliberately twinned: same
-seeding draws, same tie rules, same empty-cluster repair, same restart
-schedule. Feeding kernel_kmeans the Gram matrix X X^T of explicit points must
-reproduce kmeans(X) exactly, partition for partition; the tests lean on that.
+Both k-means entry points run the one Lloyd loop over a feature space: the
+spectral view gives it coordinates, the kernel view a kernel matrix, and the
+loop sees only squared distances to vertices and to convex prototypes. So
+seeding draws, tie rules, empty-cluster repair and the restart schedule are
+shared, and feeding kernel_kmeans the Gram matrix X X^T of explicit points
+reproduces kmeans(X) partition for partition; the tests lean on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graph import Partition, WeightedGraph
-from .linalg import KernelMatrix, spectral_embedding
+from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
 __all__ = [
     "KMeansResult",
@@ -22,7 +23,6 @@ __all__ = [
     "kmeans",
     "kernel_kmeans",
     "spectral_clustering",
-    "kernel_distance_sq",
     "q_modularity",
     "partition_stats",
 ]
@@ -81,8 +81,8 @@ def _spawned_rngs(seed: int, restarts: int) -> list[np.random.Generator]:
 def _choose_weighted(rng: np.random.Generator, d2_min: np.ndarray) -> int:
     """Pick an index with probability proportional to d2_min.
 
-    Consumes exactly one uniform draw regardless of branch, so the explicit
-    and kernel variants stay on identical RNG streams.
+    Consumes exactly one uniform draw regardless of branch, so every seeding
+    step advances the RNG stream by the same amount.
     """
     n = d2_min.size
     u = float(rng.random())
@@ -123,47 +123,19 @@ def _onehot(assign: np.ndarray, k: int) -> np.ndarray:
     return z
 
 
-def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator):
-    n = points.shape[0]
-    first = int(rng.integers(n))
-    chosen = [first]
-    d2_min = ((points - points[first]) ** 2).sum(axis=1)
+def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
+    """One seeded Lloyd run: assignment, k x n mean weights, energy trace."""
+    n = space.n
+    d2 = space.dist2_to(int(rng.integers(n)))
+    seed_dist2 = [d2]
+    d2_min = d2
     for _ in range(1, k):
-        c = _choose_weighted(rng, d2_min)
-        chosen.append(c)
-        d2_min = np.minimum(d2_min, ((points - points[c]) ** 2).sum(axis=1))
-
-    centers = points[chosen].copy()
-    assign = None
-    trace = []
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        diff = points[:, None, :] - centers[None, :, :]
-        dist2 = np.einsum("ncp,ncp->nc", diff, diff)
-        new_assign = _repair_empty(np.argmin(dist2, axis=1), dist2, k)
-        if assign is not None and (new_assign == assign).all():
-            break
-        assign = new_assign
-        counts = np.bincount(assign, minlength=k).astype(np.float64)
-        centers = (_onehot(assign, k).T @ points) / counts[:, None]
-        trace.append(float(((points - centers[assign]) ** 2).sum()))
-    return assign, centers, np.array(trace)
-
-
-def _kernel_kmeans_single(kmat: np.ndarray, k: int, rng: np.random.Generator):
-    n = kmat.shape[0]
-    diag = np.diagonal(kmat)
-    first = int(rng.integers(n))
-    chosen = [first]
-    d2_min = np.maximum(diag - 2.0 * kmat[:, first] + diag[first], 0.0)
-    for _ in range(1, k):
-        c = _choose_weighted(rng, d2_min)
-        chosen.append(c)
-        d2_min = np.minimum(d2_min,
-                            np.maximum(diag - 2.0 * kmat[:, c] + diag[c], 0.0))
+        d2 = space.dist2_to(_choose_weighted(rng, d2_min))
+        seed_dist2.append(d2)
+        d2_min = np.minimum(d2_min, d2)
 
     # distances to the seed points stand in for the first center distances
-    dist2 = diag[:, None] - 2.0 * kmat[:, chosen] + diag[np.asarray(chosen)][None, :]
-    np.maximum(dist2, 0.0, out=dist2)
+    dist2 = np.stack(seed_dist2, axis=1)
     assign = None
     trace = []
     for _ in range(MAX_LLOYD_ITERATIONS):
@@ -172,19 +144,24 @@ def _kernel_kmeans_single(kmat: np.ndarray, k: int, rng: np.random.Generator):
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k).astype(np.float64)
-        member_mean = kmat @ (_onehot(assign, k) / counts[None, :])
-        center_sq = (_onehot(assign, k) * member_mean).sum(axis=0) / counts
-        dist2 = diag[:, None] - 2.0 * member_mean + center_sq[None, :]
-        np.maximum(dist2, 0.0, out=dist2)
+        gamma = _onehot(assign, k).T / counts[:, None]
+        dist2 = space.dist2(gamma)
         trace.append(float(dist2[np.arange(n), assign].sum()))
-    return assign, np.array(trace)
+    return assign, gamma, np.array(trace)
 
 
-def _validate_k(k: int, n: int, restarts: int):
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
+    """Minimum-energy restart; earlier restarts win ties."""
+    if not 1 <= k <= space.n:
+        raise ValueError(f"k must be in 1..{space.n}, got {k}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    best = None
+    for rng in _spawned_rngs(seed, restarts):
+        run = _lloyd(space, k, rng)
+        if best is None or run[2][-1] < best[2][-1]:
+            best = run
+    return best
 
 
 def kmeans(points, k: int, seed: int, restarts: int = 10) -> KMeansResult:
@@ -196,22 +173,11 @@ def kmeans(points, k: int, seed: int, restarts: int = 10) -> KMeansResult:
     assignment stops changing or 300 iterations pass. The minimum-energy
     restart wins; earlier restarts win ties.
     """
-    pts = np.array(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"points must be a nonempty n x p array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    _validate_k(k, pts.shape[0], restarts)
-
-    best = None
-    for rng in _spawned_rngs(seed, restarts):
-        assign, centers, trace = _kmeans_single(pts, k, rng)
-        if best is None or trace[-1] < best[2][-1]:
-            best = (assign, centers, trace)
-    assign, centers, trace = best
+    space = _FeatureSpace(points)
+    assign, gamma, trace = _best_lloyd(space, k, seed, restarts)
     partition = Partition(assign, k, "kmeans",
                           {"k": k, "seed": seed, "restarts": restarts})
-    return KMeansResult(partition, centers, float(trace[-1]), trace,
+    return KMeansResult(partition, gamma @ space.points, float(trace[-1]), trace,
                         restarts, int(trace.size))
 
 
@@ -224,15 +190,7 @@ def kernel_kmeans(kernel, k: int, seed: int, restarts: int = 10) -> KMeansResult
     :func:`kmeans`, draw for draw.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    kmat = kern.matrix
-    _validate_k(k, kmat.shape[0], restarts)
-
-    best = None
-    for rng in _spawned_rngs(seed, restarts):
-        assign, trace = _kernel_kmeans_single(kmat, k, rng)
-        if best is None or trace[-1] < best[1][-1]:
-            best = (assign, trace)
-    assign, trace = best
+    assign, _, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)
     params = {"k": k, "seed": seed, "restarts": restarts}
     if kern.beta is not None:
         params["beta"] = kern.beta
@@ -251,28 +209,6 @@ def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
     return KMeansResult(partition, result.centers, result.within_energy,
                         result.energy_trace, result.restarts_used,
                         result.iterations)
-
-
-def kernel_distance_sq(kernel, j: int, coeffs: Sequence[float]) -> float:
-    """Squared feature-space distance from point j to a convex combination.
-
-    The combination sum_i coeffs_i phi(x_i) is never materialized; the
-    distance expands through kernel entries alone:
-    K_jj - 2 sum_i coeffs_i K_ij + sum_{i,i'} coeffs_i coeffs_i' K_ii'.
-    """
-    kmat = kernel.matrix if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
-    n = kmat.shape[0]
-    if not 0 <= j < n:
-        raise ValueError(f"vertex index {j} out of range 0..{n - 1}")
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape != (n,):
-        raise ValueError(f"coeffs must have length {n}, got shape {c.shape}")
-    if (c < 0).any():
-        raise ValueError("coeffs must be nonnegative")
-    if abs(float(c.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"coeffs must sum to 1, got {float(c.sum())!r}")
-    d2 = float(kmat[j, j] - 2.0 * (c @ kmat[:, j]) + c @ kmat @ c)
-    return max(d2, 0.0)
 
 
 def _cluster_weight_blocks(g: WeightedGraph, p: Partition,

@@ -3,6 +3,8 @@
 Everything downstream (spectral clustering, kernel k-means, both SOM variants)
 runs on the two objects defined here: an eigendecomposition with a fixed sign
 convention, and a kernel matrix obtained by exponentiating a graph Laplacian.
+A private feature space puts coordinates and kernels behind one set of
+distance primitives, so each algorithm has a single implementation.
 """
 
 from __future__ import annotations
@@ -139,6 +141,67 @@ class KernelMatrix:
 
     def trace(self) -> float:
         return float(self.diagonal.sum())
+
+
+class _FeatureSpace:
+    """The vertices as points phi_i of one inner-product space.
+
+    Built from a :class:`KernelMatrix` (<phi_i, phi_j> = K[i, j]) or, from
+    anything else, as explicit coordinates (phi_i = points[i]). Prototypes
+    are convex combinations sum_i gamma[m, i] phi_i given by the rows of an
+    M x n weight matrix ``gamma``. Each view supplies three primitives, the
+    squared norms, one vertex's inner-product column and gamma Phi Phi^T;
+    every distance and Gram matrix derives from those, so k-means and the
+    SOM run the same arithmetic on both views. Squared distances are clamped
+    at 0 against rounding.
+    """
+
+    def __init__(self, data):
+        if isinstance(data, KernelMatrix):
+            self.points = None
+            self._kmat = data.matrix
+            self.sq_norms = data.diagonal
+            self.what = f"kernel order {data.order}"
+        else:
+            pts = np.array(data, dtype=np.float64)
+            if pts.ndim != 2 or pts.shape[0] == 0:
+                raise ValueError(
+                    f"points must be a nonempty n x p array, got shape {pts.shape}")
+            if not np.isfinite(pts).all():
+                raise ValueError("points must be finite")
+            self.points = pts
+            self.sq_norms = (pts ** 2).sum(axis=1)
+            self.what = f"points of shape {pts.shape}"
+        self.n = int(self.sq_norms.size)
+
+    def column(self, j: int) -> np.ndarray:
+        """Inner products of every vertex with vertex j."""
+        if self.points is None:
+            return self._kmat[:, j]
+        return self.points @ self.points[j]
+
+    def cross(self, gamma: np.ndarray) -> np.ndarray:
+        """gamma Phi Phi^T: M x n inner products of prototypes with vertices."""
+        if self.points is None:
+            return gamma @ self._kmat
+        return (gamma @ self.points) @ self.points.T
+
+    def dist2_to(self, j: int) -> np.ndarray:
+        """Squared distances from every vertex to vertex j."""
+        d2 = self.sq_norms - 2.0 * self.column(j) + self.sq_norms[j]
+        return np.maximum(d2, 0.0, out=d2)
+
+    def dist2(self, gamma: np.ndarray) -> np.ndarray:
+        """n x M squared distances from every vertex to every prototype."""
+        cross = self.cross(gamma)
+        proto_sq = (cross * gamma).sum(axis=1)
+        d2 = self.sq_norms[:, None] - 2.0 * cross.T + proto_sq[None, :]
+        return np.maximum(d2, 0.0, out=d2)
+
+    def gram(self, gamma: np.ndarray) -> np.ndarray:
+        """Exactly symmetric M x M inner products between prototypes."""
+        g = self.cross(gamma) @ gamma.T
+        return (g + g.T) / 2.0
 
 
 def heat_kernel(laplacian, beta: float) -> KernelMatrix:

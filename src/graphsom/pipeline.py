@@ -168,7 +168,7 @@ def _json_default(obj):
 
 def document_bytes(doc: dict) -> bytes:
     """Serialize a document dict to its canonical UTF-8 form."""
-    return (json.dumps(doc, indent=2, ensure_ascii=False,
+    return (json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False,
                        default=_json_default) + "\n").encode("utf-8")
 
 
@@ -209,7 +209,8 @@ def load_partition_document(path) -> dict:
     if not isinstance(table, dict) or not table:
         raise ParseError("partition document lacks an assignment table")
     for label, cluster in table.items():
-        if not isinstance(cluster, int):
+        # bool is an int subclass, but JSON true/false is no cluster id
+        if not isinstance(cluster, int) or isinstance(cluster, bool):
             raise ParseError(f"cluster id for {label!r} must be an integer")
     return doc
 
@@ -280,9 +281,14 @@ def partition_document(g: WeightedGraph, part: Partition, config: dict,
 def report_document(g: WeightedGraph, part: Partition, config: dict) -> dict:
     """Statistics report: size distribution plus both modularity variants.
 
-    The q scores are rounded to 4 decimals; everything else is exact.
+    The q scores are rounded to 4 decimals, or None when the graph has no
+    edges and q is undefined; everything else is exact.
     """
     stats = partition_stats(g, part)
+    q = q_unweighted = None
+    if g.total_weight > 0:
+        q = round(stats.q_modularity, 4)
+        q_unweighted = round(q_modularity(g, part, weighted=False), 4)
     return {
         "schema": REPORT_SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -295,8 +301,8 @@ def report_document(g: WeightedGraph, part: Partition, config: dict) -> dict:
             "max_size": stats.max_size,
             "median_size": stats.median_size,
             "third_quartile_size": stats.third_quartile_size,
-            "q_modularity": round(q_modularity(g, part, weighted=True), 4),
-            "q_modularity_unweighted": round(q_modularity(g, part, weighted=False), 4),
+            "q_modularity": q,
+            "q_modularity_unweighted": q_unweighted,
         },
     }
 

@@ -2,10 +2,10 @@
 
 Prototypes are never stored as raw vectors: both variants carry an M x n
 matrix gamma of convex combination weights, so prototype m is the
-feature-space point sum_i gamma[m, i] * phi(x_i). The kernel variant needs
-only kernel entries; the explicit variant materializes gamma @ X when it
-measures distances. Keeping the two loops draw-for-draw identical makes
-batch_kernel_som(X @ X.T) reproduce batch_som(X) exactly.
+feature-space point sum_i gamma[m, i] * phi(x_i). Both run one training loop
+over a feature space built from coordinates or from a kernel matrix, which
+measures every distance through inner products alone; that is why
+batch_kernel_som(X @ X.T) reproduces batch_som(X) draw for draw.
 
 The winning unit for a vertex is the one minimizing the
 neighborhood-smoothed distance sum_m' hn(m, m') * d2(i, m'), where hn is the
@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import Partition, WeightedGraph
-from .linalg import KernelMatrix, spectral_embedding
+from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
 __all__ = [
     "SomGrid",
@@ -188,24 +188,25 @@ def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
     return out
 
 
-def _train(dist2_of, n: int, grid: SomGrid, epochs: int, radius, seed: int):
-    """Shared batch-SOM loop; dist2_of(gamma) gives n x M squared distances."""
+def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int):
+    """Shared batch-SOM loop over either view of the vertices."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     start, end = _check_radius(radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gamma = _initial_gamma(rng, grid.num_units, n)
+    gamma = _initial_gamma(rng, grid.num_units, space.n)
 
+    # each epoch's distances to the updated prototypes serve the next epoch
+    dist2 = space.dist2(gamma)
     trace = []
     hn = None
     for epoch in range(epochs):
         sigma = _sigma_at(epoch, epochs, start, end)
         hn = grid.normalized_neighborhood(sigma)
-        dist2 = dist2_of(gamma)
         bmu = _smoothed_bmu(dist2, hn)
         influence = hn[bmu]
         gamma = _update_gamma(gamma, influence)
-        dist2 = dist2_of(gamma)
+        dist2 = space.dist2(gamma)
         trace.append(float((influence * dist2).sum()))
     assignment = _smoothed_bmu(dist2, hn)
     return gamma, assignment, np.array(trace)
@@ -222,19 +223,10 @@ def batch_kernel_som(kernel, grid: SomGrid, epochs: int = 100,
     The energy trace records the extended distortion after each epoch.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    kmat = kern.matrix
     if radius is None:
         radius = default_radius(grid)
-    diag = np.diagonal(kmat)
-
-    def dist2_of(gamma):
-        cross = gamma @ kmat
-        proto_sq = (cross * gamma).sum(axis=1)
-        d2 = diag[:, None] - 2.0 * cross.T + proto_sq[None, :]
-        return np.maximum(d2, 0.0, out=d2)
-
-    gamma, assignment, trace = _train(dist2_of, kmat.shape[0], grid,
-                                      epochs, radius, seed)
+    gamma, assignment, trace = _train(_FeatureSpace(kern), grid, epochs,
+                                      radius, seed)
     params = {"method": "kernel-som", "epochs": epochs,
               "radius": (float(radius[0]), float(radius[1])), "seed": seed}
     if kern.beta is not None:
@@ -251,23 +243,10 @@ def batch_som(points, grid: SomGrid, epochs: int = 100,
     carries the same gamma representation and feeding the Gram matrix
     X @ X.T to batch_kernel_som reproduces this function draw for draw.
     """
-    pts = np.array(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"points must be a nonempty n x p array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    space = _FeatureSpace(points)
     if radius is None:
         radius = default_radius(grid)
-    point_sq = (pts ** 2).sum(axis=1)
-
-    def dist2_of(gamma):
-        protos = gamma @ pts
-        d2 = (point_sq[:, None] - 2.0 * (pts @ protos.T)
-              + (protos ** 2).sum(axis=1)[None, :])
-        return np.maximum(d2, 0.0, out=d2)
-
-    gamma, assignment, trace = _train(dist2_of, pts.shape[0], grid,
-                                      epochs, radius, seed)
+    gamma, assignment, trace = _train(space, grid, epochs, radius, seed)
     params = {"method": "batch-som", "epochs": epochs,
               "radius": (float(radius[0]), float(radius[1])), "seed": seed}
     return SomModel(grid, gamma, assignment, trace, params)
@@ -325,25 +304,6 @@ class UMatrix:
         return out
 
 
-def _prototype_gram(model: SomModel, data) -> np.ndarray:
-    """M x M matrix of feature-space inner products between prototypes."""
-    gamma = model.gamma
-    if isinstance(data, KernelMatrix):
-        kmat = data.matrix
-        if kmat.shape[0] != model.num_vertices:
-            raise ValueError(f"kernel order {kmat.shape[0]} does not match "
-                             f"model's {model.num_vertices} vertices")
-        gram = gamma @ kmat @ gamma.T
-    else:
-        pts = np.asarray(data, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] != model.num_vertices:
-            raise ValueError(f"points must be {model.num_vertices} x p, "
-                             f"got shape {pts.shape}")
-        protos = gamma @ pts
-        gram = protos @ protos.T
-    return (gram + gram.T) / 2.0
-
-
 def prototype_distances(model: SomModel, data) -> np.ndarray:
     """Exactly symmetric M x M feature-space distances between prototypes.
 
@@ -351,7 +311,11 @@ def prototype_distances(model: SomModel, data) -> np.ndarray:
     kernel-trained models, or the n x p coordinate array for explicit ones
     (a bare ndarray is always treated as coordinates).
     """
-    gram = _prototype_gram(model, data)
+    space = _FeatureSpace(data)
+    if space.n != model.num_vertices:
+        raise ValueError(f"{space.what} does not match the model's "
+                         f"{model.num_vertices} vertices")
+    gram = space.gram(model.gamma)
     sq = np.diagonal(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)

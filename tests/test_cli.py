@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphsom
 from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
 
@@ -89,6 +94,31 @@ class TestExitCodes:
         assert main(["stats", "--input", graph_file,
                      "--partition", str(bad)]) == 3
 
+    def test_boolean_cluster_ids_are_parse_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tb\t1.0\nb\tc\t1.0\n")
+        doc = tmp_path / "p.json"
+        doc.write_text(json.dumps({"schema": "graphsom/partition",
+                                   "assignment": {"a": True, "b": False,
+                                                  "c": True}}))
+        assert main(["stats", "--input", str(graph),
+                     "--partition", str(doc)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_module_invocation_runs(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(graphsom.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphsom.cli", "attrs",
+             "--partition", str(tmp_path / "absent.json"),
+             "--attributes", str(tmp_path / "absent.tsv"),
+             "--out", str(tmp_path / "s.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("graphsom: ")
+
     def test_unwritable_output(self, tmp_path, graph_file, capsys):
         out = tmp_path / "no" / "such" / "dir" / "p.json"
         assert cluster_spectral(graph_file, out) == 1
@@ -127,6 +157,22 @@ class TestClusterCommand:
         assert rdoc["partition"]["q_modularity"] == 0.5
         assert rdoc["config"]["method"] == "spectral"
         assert rdoc["config"]["seed"] == 0
+
+    def test_edgeless_graph_report(self, tmp_path):
+        graph = tmp_path / "loops.tsv"
+        graph.write_text("a\ta\t1.0\nb\tb\t1.0\n")
+        out, report = tmp_path / "p.json", tmp_path / "r.json"
+        with pytest.warns(UserWarning, match="self-loop"):
+            code = main(["cluster", "--input", str(graph),
+                         "--method", "kernel-kmeans", "--k", "1",
+                         "--seed", "0", "--out", str(out),
+                         "--report", str(report)])
+        assert code == 0
+        assert json.loads(out.read_text())["num_clusters"] == 1
+        rdoc = json.loads(report.read_text())
+        assert rdoc["graph"]["edges"] == 0
+        assert rdoc["partition"]["q_modularity"] is None
+        assert rdoc["partition"]["q_modularity_unweighted"] is None
 
     def test_repeat_invocation_byte_identical(self, tmp_path, graph_file):
         out = tmp_path / "p.json"

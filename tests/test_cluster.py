@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphsom import Partition
 from graphsom.cluster import (
-    kernel_distance_sq,
     kernel_kmeans,
     kmeans,
     partition_stats,
@@ -194,35 +193,6 @@ class TestSpectralClustering:
         res = spectral_clustering(g, p=2, k=2, seed=4)
         assert res.partition.method_tag == "spectral"
         assert res.partition.params["p"] == 2
-
-
-class TestKernelDistanceSq:
-    def test_distance_to_self_is_zero(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(6, 3))
-        gram = pts @ pts.T
-        coeffs = np.zeros(6)
-        coeffs[2] = 1.0
-        assert kernel_distance_sq((gram + gram.T) / 2.0, 2, coeffs) \
-            == pytest.approx(0.0, abs=1e-12)
-
-    def test_identity_kernel_member(self):
-        coeffs = np.array([0.5, 0.5, 0.0, 0.0])
-        assert kernel_distance_sq(np.eye(4), 0, coeffs) == pytest.approx(0.5)
-
-    def test_identity_kernel_nonmember(self):
-        coeffs = np.array([0.5, 0.5, 0.0, 0.0])
-        assert kernel_distance_sq(np.eye(4), 3, coeffs) == pytest.approx(1.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            kernel_distance_sq(np.eye(3), 0, np.array([0.5, 0.2, 0.0]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            kernel_distance_sq(np.eye(3), 0, np.array([1.5, -0.5, 0.0]))
-        with pytest.raises(ValueError, match="length"):
-            kernel_distance_sq(np.eye(3), 0, np.array([1.0]))
-        with pytest.raises(ValueError, match="out of range"):
-            kernel_distance_sq(np.eye(3), 5, np.full(3, 1 / 3))
 
 
 class TestQModularity:

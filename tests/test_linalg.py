@@ -5,6 +5,7 @@ from graphsom import NumericalError
 from graphsom.linalg import (
     EigenDecomposition,
     KernelMatrix,
+    _FeatureSpace,
     eigendecompose_symmetric,
     heat_kernel,
     kernel_feature_coordinates,
@@ -241,6 +242,47 @@ class TestKernelFeatureCoordinates:
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalError, match="positive semi-definite"):
             kernel_feature_coordinates(np.diag([1.0, -1.0]))
+
+
+class TestFeatureSpace:
+    def test_distance_to_self_is_zero(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(6, 3))
+        gram = pts @ pts.T
+        space = _FeatureSpace(KernelMatrix((gram + gram.T) / 2.0))
+        coeffs = np.zeros((1, 6))
+        coeffs[0, 2] = 1.0
+        assert space.dist2(coeffs)[2, 0] == pytest.approx(0.0, abs=1e-12)
+        assert space.dist2_to(2)[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_identity_kernel_member(self):
+        space = _FeatureSpace(KernelMatrix(np.eye(4)))
+        coeffs = np.array([[0.5, 0.5, 0.0, 0.0]])
+        assert space.dist2(coeffs)[0, 0] == pytest.approx(0.5)
+
+    def test_identity_kernel_nonmember(self):
+        space = _FeatureSpace(KernelMatrix(np.eye(4)))
+        coeffs = np.array([[0.5, 0.5, 0.0, 0.0]])
+        assert space.dist2(coeffs)[3, 0] == pytest.approx(1.5)
+
+    def test_points_and_gram_agree(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(2, 30))
+            pts = rng.normal(size=(n, int(rng.integers(1, 6))))
+            gamma = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 8)))
+            raw = pts @ pts.T
+            explicit = _FeatureSpace(pts)
+            implicit = _FeatureSpace(KernelMatrix((raw + raw.T) / 2.0))
+            np.testing.assert_allclose(explicit.dist2(gamma),
+                                       implicit.dist2(gamma), rtol=0, atol=1e-9)
+            gram = explicit.gram(gamma)
+            assert (gram == gram.T).all()
+            np.testing.assert_allclose(gram, implicit.gram(gamma),
+                                       rtol=0, atol=1e-9)
+            j = int(rng.integers(n))
+            np.testing.assert_allclose(explicit.dist2_to(j),
+                                       implicit.dist2_to(j), rtol=0, atol=1e-9)
 
 
 class TestKernelMatrixType:
