@@ -165,10 +165,12 @@ class LayoutScene:
                 raise ValueError("cell_of_item must have one entry per item")
             if cell_of.min() < 0 or cell_of.max() >= len(cells):
                 raise ValueError("cell index out of range")
-            for i in range(n):
-                cell = cells[cell_of[i]]
-                if not cell.contains(pos[i, 0], pos[i, 1]):
-                    raise ValueError(f"item {i} lies outside its cell region")
+            # x0, y0, x1, y1 of each item's cell; bounds inclusive as in Rect
+            box = np.array([(c.x, c.y, c.x1, c.y1) for c in cells])[cell_of]
+            outside = ((pos < box[:, :2]) | (pos > box[:, 2:])).any(axis=1)
+            if outside.any():
+                i = int(np.flatnonzero(outside)[0])
+                raise ValueError(f"item {i} lies outside its cell region")
             cell_of.setflags(write=False)
 
         for name, arr in (("positions", pos), ("radii", radii),
@@ -199,40 +201,83 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
     return r0 * np.sqrt(counts)
 
 
+def _repulsion(x, y, k, out_x, out_y):
+    """Write the summed k^2/d repulsion on each of the points (x, y).
+
+    ``dx[j, i] = x[i] - x[j]``, so the axis-0 sums run over j in order.
+    """
+    dx = x - x[:, None]
+    dy = y - y[:, None]
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
+    np.maximum(dist, _EPS_DIST, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    # (dx, dy) / dist * (k^2 / dist), folded into one factor
+    dist *= dist
+    f = np.divide(k * k, dist, out=dist)
+    dx *= f
+    dy *= f
+    dx.sum(axis=0, out=out_x)
+    dy.sum(axis=0, out=out_y)
+
+
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
             repulsion_groups):
     """Cap-and-cool force iteration shared by the free and constrained modes.
 
-    Repels only within each index group in repulsion_groups, attracts along
-    all edges, caps each displacement at a linearly shrinking temperature,
-    then clips into [lo, hi] per coordinate.
+    Repels only within each of the disjoint index groups in repulsion_groups,
+    attracts along all edges, caps each displacement at a linearly shrinking
+    temperature, then clips into [lo, hi] per coordinate.
+
+    The vertices are renumbered so that every group is a contiguous slice,
+    and each coordinate is kept in its own array. A vertex still sums its
+    repulsion over its group in group order, then its edge pulls in edge
+    order, so the renumbering changes no bit of the result.
     """
-    pos = pos.copy()
+    n = pos.shape[0]
+    groups = [np.asarray(idx, dtype=np.int64) for idx in repulsion_groups]
+    grouped = np.concatenate([np.zeros(0, dtype=np.int64), *groups])
+    rest = np.setdiff1d(np.arange(n), grouped)
+    order = np.concatenate([grouped, rest])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    bounds = np.cumsum([0] + [idx.size for idx in groups])
+    slices = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e - s >= 2]
+
+    x = pos[order, 0].copy()
+    y = pos[order, 1].copy()
+    lo_x, lo_y = np.broadcast_to(lo, pos.shape)[order].T.copy()
+    hi_x, hi_y = np.broadcast_to(hi, pos.shape)[order].T.copy()
+    a = rank[edges[:, 0]]
+    b = rank[edges[:, 1]]
+    # one bincount per coordinate adds, for each vertex, its repulsion, then
+    # its -pull as a first endpoint, then its +pull as a second endpoint
+    bins = np.concatenate([np.arange(n), a, b])
+    rep_x = np.zeros(n)
+    rep_y = np.zeros(n)
     for t in range(iterations):
         temp = temp0 * (1.0 - t / iterations)
-        disp = np.zeros_like(pos)
-        for idx in repulsion_groups:
-            if idx.size < 2:
-                continue
-            p = pos[idx]
-            delta = p[:, None, :] - p[None, :, :]
-            dist = np.sqrt((delta * delta).sum(axis=2))
-            np.maximum(dist, _EPS_DIST, out=dist)
-            np.fill_diagonal(dist, np.inf)
-            # delta / dist * (k^2 / dist), folded into one factor
-            disp[idx] += (delta * (k * k / (dist * dist))[..., None]).sum(axis=1)
-        if edges.shape[0]:
-            d = pos[edges[:, 0]] - pos[edges[:, 1]]
-            dist = np.sqrt((d * d).sum(axis=1))
-            np.maximum(dist, _EPS_DIST, out=dist)
-            pull = d * ((dist / k) * norm_weights)[:, None]
-            np.add.at(disp, edges[:, 0], -pull)
-            np.add.at(disp, edges[:, 1], pull)
-        lengths = np.sqrt((disp * disp).sum(axis=1))
+        for s in slices:
+            _repulsion(x[s], y[s], k, rep_x[s], rep_y[s])
+        dx = x[a] - x[b]
+        dy = y[a] - y[b]
+        dist = np.sqrt(dx * dx + dy * dy)
+        np.maximum(dist, _EPS_DIST, out=dist)
+        c = (dist / k) * norm_weights
+        dx *= c
+        dy *= c
+        disp_x = np.bincount(bins, np.concatenate([rep_x, -dx, dx]), n)
+        disp_y = np.bincount(bins, np.concatenate([rep_y, -dy, dy]), n)
+        lengths = np.sqrt(disp_x * disp_x + disp_y * disp_y)
         scale = np.minimum(1.0, temp / np.maximum(lengths, _EPS_DIST))
-        pos += disp * scale[:, None]
-        np.clip(pos, lo, hi, out=pos)
-    return pos
+        disp_x *= scale
+        disp_y *= scale
+        x += disp_x
+        y += disp_y
+        np.clip(x, lo_x, hi_x, out=x)
+        np.clip(y, lo_y, hi_y, out=y)
+    return np.column_stack([x, y])[rank]
 
 
 def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
@@ -364,7 +409,7 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
     pos = _anneal(pos, edges, norm_w, iterations,
                   k=float(np.sqrt(frame.area / n)), lo=lo, hi=hi,
                   temp0=frame.diagonal / 10.0,
-                  repulsion_groups=[idx for idx in groups if idx.size >= 2])
+                  repulsion_groups=groups)
 
     part = som_partition(model)
     return LayoutScene(

@@ -172,9 +172,35 @@ def document_bytes(doc: dict) -> bytes:
                        default=_json_default) + "\n").encode("utf-8")
 
 
-def _write_bytes(path, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
+def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
+    """Write every ``(path, data)`` pair of one command, or none of them.
+
+    Each output goes to a fresh temporary file in its target's directory;
+    only when all of them are written are they renamed over their targets,
+    in order. If any write fails, the temporary files are deleted and every
+    target keeps its old bytes.
+    """
+    staged = []
+    try:
+        for i, (path, data) in enumerate(outputs):
+            # the one rename that can still fail once the files are staged
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output {path} is a directory")
+            head, tail = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for tmp, (path, _) in zip(staged, outputs):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def _read_text(source) -> str:
@@ -319,8 +345,9 @@ def _load_graph(path) -> WeightedGraph:
 def run_cluster(config: RunConfig) -> dict:
     """Cluster a graph per the config; write the partition and any report.
 
-    Returns ``{"partition": doc, "report": doc or None}`` with the documents
-    that were written.
+    Both documents are written or neither is. Returns
+    ``{"partition": doc, "report": doc or None}`` with the documents that
+    were written.
     """
     cfg = config.resolved()
     g = _load_graph(config.input)
@@ -345,11 +372,12 @@ def run_cluster(config: RunConfig) -> dict:
         part = som_partition(model)
 
     pdoc = partition_document(g, part, cfg, model)
-    _write_bytes(config.out, document_bytes(pdoc))
+    outputs = [(config.out, document_bytes(pdoc))]
     rdoc = None
     if config.report is not None:
         rdoc = report_document(g, part, cfg)
-        _write_bytes(config.report, document_bytes(rdoc))
+        outputs.append((config.report, document_bytes(rdoc)))
+    _write_outputs(outputs)
     return {"partition": pdoc, "report": rdoc}
 
 
@@ -503,7 +531,7 @@ def run_attribute_summary(partition_path, attributes_path,
     table = parse_attribute_table(attributes_path)
     summary = attribute_summary(doc, table)
     if out_path is not None:
-        _write_bytes(out_path, document_bytes(summary))
+        _write_outputs([(out_path, document_bytes(summary))])
     return summary
 
 
@@ -574,9 +602,10 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
             svg = render_svg(scene)
             dot_subject = g
 
-    _write_bytes(svg_path, svg)
+    outputs = [(svg_path, svg)]
     if dot_path is not None:
-        _write_bytes(dot_path, export_dot(dot_subject, scene))
+        outputs.append((dot_path, export_dot(dot_subject, scene)))
+    _write_outputs(outputs)
     return scene
 
 

@@ -144,6 +144,58 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestNoPartialOutputs:
+    @pytest.fixture
+    def triangle(self, tmp_path):
+        path = tmp_path / "tri.tsv"
+        path.write_text("a\tb\t1.0\nb\tc\t1.0\na\tc\t1.0\n",
+                        encoding="utf-8")
+        return str(path)
+
+    def test_failed_report_leaves_no_partition(self, tmp_path, triangle):
+        out = tmp_path / "p.json"
+        code = cluster_spectral(triangle, out, tmp_path / "nodir" / "r.json")
+        assert code == 1
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["tri.tsv"]
+
+    def test_failed_dot_leaves_no_svg(self, tmp_path, triangle):
+        doc = tmp_path / "p.json"
+        assert cluster_spectral(triangle, doc) == 0
+        svg = tmp_path / "s.svg"
+        code = main(["layout", "--mode", "summary", "--input", triangle,
+                     "--partition", str(doc), "--svg", str(svg),
+                     "--dot", str(tmp_path / "nodir" / "x.dot"),
+                     "--seed", "0"])
+        assert code == 1
+        assert not svg.exists()
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, triangle):
+        out = tmp_path / "p.json"
+        out.write_bytes(b"earlier bytes\n")
+        code = cluster_spectral(triangle, out, tmp_path / "nodir" / "r.json")
+        assert code == 1
+        assert out.read_bytes() == b"earlier bytes\n"
+
+    def test_report_onto_directory_leaves_no_partition(self, tmp_path,
+                                                       triangle):
+        out = tmp_path / "p.json"
+        (tmp_path / "r.json").mkdir()
+        assert cluster_spectral(triangle, out, tmp_path / "r.json") == 1
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "tri.tsv"]
+
+    def test_success_replaces_existing_output(self, tmp_path, triangle):
+        out = tmp_path / "p.json"
+        report = tmp_path / "r.json"
+        out.write_bytes(b"earlier bytes\n")
+        assert cluster_spectral(triangle, out, report) == 0
+        assert json.loads(out.read_text())["schema"] == "graphsom/partition"
+        assert json.loads(report.read_text())["schema"] == "graphsom/report"
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "r.json", "tri.tsv"]
+
+
 class TestClusterCommand:
     def test_writes_partition_and_report(self, tmp_path, graph_file):
         out = tmp_path / "p.json"

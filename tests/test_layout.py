@@ -6,6 +6,7 @@ from graphsom.layout import (
     CELL_SIDE,
     LayoutScene,
     Rect,
+    _anneal,
     constrained_full_layout,
     force_directed_layout,
     som_map_scene,
@@ -113,6 +114,113 @@ class TestLayoutScene:
         with pytest.raises(ValueError, match="outside its cell"):
             LayoutScene(**self.scene_kwargs(cell_regions=cells,
                                             cell_of_item=[1, 0]))
+
+    def test_cell_borders_are_inclusive(self):
+        cells = (Rect(0, 0, 5, 10), Rect(5, 0, 5, 10))
+        on_border = [[5.0, 0.0], [5.0, 10.0], [7.0, 4.0]]
+        for cell_of in ([0, 0, 1], [1, 1, 1]):
+            LayoutScene(**self.scene_kwargs(
+                positions=on_border, radii=[1.0] * 3, item_labels="abc",
+                item_groups=[0, 1, 1], cell_regions=cells,
+                cell_of_item=cell_of))
+
+    def test_first_item_outside_is_named(self):
+        cells = (Rect(0, 0, 5, 10), Rect(5, 0, 5, 10))
+        with pytest.raises(ValueError, match="item 1 lies outside"):
+            LayoutScene(**self.scene_kwargs(
+                positions=[[1.0, 1.0], [7.0, 4.0], [8.0, 4.0]],
+                radii=[1.0] * 3, item_labels="abc", item_groups=[0, 1, 1],
+                cell_regions=cells, cell_of_item=[0, 0, 0]))
+
+
+def reference_anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
+                     repulsion_groups):
+    """The annealing loop written plainly, one n_g x n_g x 2 block per group.
+
+    ``_anneal`` does the same floating-point operations in the same order, so
+    the two must agree bit for bit.
+    """
+    eps = 1e-9
+    pos = pos.copy()
+    for t in range(iterations):
+        temp = temp0 * (1.0 - t / iterations)
+        disp = np.zeros_like(pos)
+        for idx in repulsion_groups:
+            if idx.size < 2:
+                continue
+            p = pos[idx]
+            delta = p[:, None, :] - p[None, :, :]
+            dist = np.sqrt((delta * delta).sum(axis=2))
+            np.maximum(dist, eps, out=dist)
+            np.fill_diagonal(dist, np.inf)
+            disp[idx] += (delta * (k * k / (dist * dist))[..., None]).sum(axis=1)
+        if edges.shape[0]:
+            d = pos[edges[:, 0]] - pos[edges[:, 1]]
+            dist = np.sqrt((d * d).sum(axis=1))
+            np.maximum(dist, eps, out=dist)
+            pull = d * ((dist / k) * norm_weights)[:, None]
+            np.add.at(disp, edges[:, 0], -pull)
+            np.add.at(disp, edges[:, 1], pull)
+        lengths = np.sqrt((disp * disp).sum(axis=1))
+        scale = np.minimum(1.0, temp / np.maximum(lengths, eps))
+        pos += disp * scale[:, None]
+        np.clip(pos, lo, hi, out=pos)
+    return pos
+
+
+class TestAnneal:
+    def grouped_input(self, seed, num_edges):
+        """Shuffled groups of sizes 1..9 over a random subset of the
+        vertices, per-vertex boxes, and random weighted edges."""
+        rng = np.random.default_rng(seed)
+        n = 60
+        perm = rng.permutation(n)
+        sizes = [1, 2, 1, 9, 5, 1, 3, 7, 4]
+        cuts = np.cumsum([0] + sizes)
+        groups = [perm[s:e] for s, e in zip(cuts[:-1], cuts[1:])]
+        lo = rng.uniform(0.0, 20.0, (n, 2))
+        hi = lo + rng.uniform(10.0, 40.0, (n, 2))
+        pos = lo + rng.random((n, 2)) * (hi - lo)
+        a = rng.integers(0, n, num_edges)
+        b = (a + rng.integers(1, n, num_edges)) % n
+        edges = np.stack([a, b], axis=1).reshape(-1, 2)
+        weights = rng.uniform(0.1, 1.0, num_edges)
+        return dict(pos=pos, edges=edges, norm_weights=weights, iterations=20,
+                    k=6.0, lo=lo, hi=hi, temp0=8.0, repulsion_groups=groups)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_edges", [0, 90])
+    def test_matches_reference(self, seed, num_edges):
+        kw = self.grouped_input(seed, num_edges)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+
+    def test_matches_reference_in_one_frame(self):
+        rng = np.random.default_rng(7)
+        n = 25
+        pos = rng.random((n, 2)) * 100.0
+        edges = np.array([(i, (i * 7 + 3) % n) for i in range(n)
+                          if (i * 7 + 3) % n != i])
+        kw = dict(pos=pos, edges=edges,
+                  norm_weights=rng.uniform(0.1, 1.0, len(edges)),
+                  iterations=20, k=20.0, lo=np.array([0.0, 0.0]),
+                  hi=np.array([100.0, 100.0]), temp0=14.0,
+                  repulsion_groups=[np.arange(n)])
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+
+    def test_coincident_pair_gets_the_push_of_the_third(self):
+        # the pair at one point repels itself with 0 * k^2/eps^2, which must
+        # stay 0; a form that subtracts k^2/eps^2-sized terms loses it all
+        pos = np.array([[10.0, 10.0], [10.0, 10.0], [13.0, 14.0]])
+        k = 5.0
+        out = _anneal(pos, np.zeros((0, 2), dtype=np.int64), np.zeros(0), 1,
+                      k=k, lo=np.array([-1e6, -1e6]), hi=np.array([1e6, 1e6]),
+                      temp0=1e6, repulsion_groups=[np.arange(3)])
+        moved = out - pos
+        assert np.isfinite(moved).all()
+        np.testing.assert_array_equal(moved[0], moved[1])
+        delta = pos[0] - pos[2]
+        push = delta * k * k / (delta @ delta)
+        np.testing.assert_allclose(moved[0], push, rtol=1e-12, atol=0.0)
 
 
 class TestForceDirectedLayout:
