@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParseError", "NumericalError", "UsageError"]
+
 
 class ParseError(ValueError):
     """An input file (edge list, attribute table, or document) is malformed.

@@ -1,4 +1,4 @@
-"""Weighted-graph data model: ingestion, degrees, Laplacian, components, summaries.
+"""Weighted-graph data model: ingestion, degrees, Laplacian, summaries.
 
 The graph is undirected with symmetric nonnegative weights and no self-loops.
 Weights are held densely; at the few-hundred-vertex scale this package targets,
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterator, Mapping
@@ -86,22 +85,6 @@ class WeightedGraph:
         d.setflags(write=False)
         return d
 
-    def degree(self, i: int) -> float:
-        """Weighted degree of vertex ``i`` (0 for an isolated vertex)."""
-        if not 0 <= i < self.num_vertices:
-            raise IndexError(f"vertex index {i} out of range 0..{self.num_vertices - 1}")
-        return float(self.degrees[i])
-
-    @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
-
     def laplacian(self) -> np.ndarray:
         """Graph Laplacian: degrees on the diagonal, negated weights elsewhere."""
         lap = -self.weights.copy()
@@ -109,44 +92,11 @@ class WeightedGraph:
         lap.setflags(write=False)
         return lap
 
-    @cached_property
-    def neighbor_lists(self) -> tuple[np.ndarray, ...]:
-        """Per-vertex arrays of neighbor indices (positive-weight edges only)."""
-        lists = []
-        for i in range(self.num_vertices):
-            nb = np.flatnonzero(self.weights[i] > 0)
-            nb.setflags(write=False)
-            lists.append(nb)
-        return tuple(lists)
-
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(i, j, weight)`` with ``i < j`` for every positive-weight edge."""
         idx_i, idx_j = np.nonzero(np.triu(self.weights, 1))
         for i, j in zip(idx_i.tolist(), idx_j.tolist()):
             yield i, j, float(self.weights[i, j])
-
-    def connected_components(self) -> "Partition":
-        """Label vertices by connected component.
-
-        Components are numbered by their smallest contained vertex index, so
-        vertex 0 is always in component 0.
-        """
-        n = self.num_vertices
-        comp = np.full(n, -1, dtype=np.int64)
-        next_id = 0
-        for start in range(n):
-            if comp[start] >= 0:
-                continue
-            comp[start] = next_id
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for u in self.neighbor_lists[v]:
-                    if comp[u] < 0:
-                        comp[u] = next_id
-                        queue.append(int(u))
-            next_id += 1
-        return Partition(comp, next_id, method_tag="components")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,47 +127,38 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
 
-    def compact(self) -> "Partition":
-        """Drop empty clusters and renumber survivors to ``0..k'-1``.
+def read_text(source: str | os.PathLike | IO) -> str:
+    """The UTF-8 text of a path or of an open text or binary stream.
 
-        Surviving ids are renumbered in increasing order of their old id, so
-        the relative order of clusters is preserved.
-        """
-        sizes = self.sizes()
-        occupied = np.flatnonzero(sizes)
-        if occupied.size == self.k:
-            return self
-        remap = np.full(self.k, -1, dtype=np.int64)
-        remap[occupied] = np.arange(occupied.size)
-        return Partition(remap[self.assignment], int(occupied.size),
-                         self.method_tag, self.params)
+    A path that cannot be read, or bytes that are not UTF-8, are a
+    :class:`ParseError`.
+    """
+    try:
+        if hasattr(source, "read"):
+            raw = source.read()
+            return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        with open(source, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from exc
 
 
-def load_edge_list(source: str | os.PathLike | IO, *,
-                   on_self_loop: str = "drop") -> WeightedGraph:
+def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     """Read a tab-separated edge list into a :class:`WeightedGraph`.
 
     Each non-comment line is ``src<TAB>dst<TAB>weight`` with a positive real
     weight; the weight column may be omitted and defaults to 1. Lines starting
-    with ``#`` and blank lines are skipped. Repeated pairs, in either order,
-    have their weights summed. Vertices are indexed by first appearance.
+    with ``#`` and blank lines are skipped. Labels are stripped of surrounding
+    whitespace, and a label left empty is an error. Repeated pairs, in either
+    order, have their weights summed. Self-loop lines are dropped with a
+    warning, though their vertex is kept. Vertices are indexed by first
+    appearance.
 
     Args:
         source: path, or an open text/binary stream of UTF-8 content.
-        on_self_loop: ``"drop"`` discards self-loop lines with a warning;
-            ``"error"`` raises instead.
     """
-    if on_self_loop not in ("drop", "error"):
-        raise ValueError(f"on_self_loop must be 'drop' or 'error', got {on_self_loop!r}")
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
+    text = read_text(source)
 
     index: dict[str, int] = {}
     pair_weights: dict[tuple[int, int], float] = {}
@@ -229,7 +170,7 @@ def load_edge_list(source: str | os.PathLike | IO, *,
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}",
                              lineno)
-        src, dst = parts[0], parts[1]
+        src, dst = parts[0].strip(), parts[1].strip()
         if not src or not dst:
             raise ParseError("empty vertex label", lineno)
         if len(parts) == 3:
@@ -246,8 +187,6 @@ def load_edge_list(source: str | os.PathLike | IO, *,
         else:
             weight = 1.0
         if src == dst:
-            if on_self_loop == "error":
-                raise ParseError(f"self-loop on {src!r}", lineno)
             warnings.warn(f"dropping self-loop on {src!r} (line {lineno})",
                           stacklevel=2)
             # the vertex itself is still registered

@@ -74,11 +74,6 @@ class EigenDecomposition:
     def order(self) -> int:
         return int(self.eigenvalues.size)
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(lambda) V^T, the matrix the decomposition came from."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # argmax returns the first occurrence, which is the tie rule we want
@@ -138,9 +133,6 @@ class KernelMatrix:
         d = np.diagonal(self.matrix).copy()
         d.setflags(write=False)
         return d
-
-    def trace(self) -> float:
-        return float(self.diagonal.sum())
 
 
 class _FeatureSpace:
@@ -207,35 +199,32 @@ class _FeatureSpace:
 def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     """Diffusion kernel exp(-beta * L) of a graph Laplacian.
 
-    Computed through the full eigendecomposition, exponentiating the spectrum,
-    then explicitly symmetrized. Because L annihilates the constant vector,
-    every row of the result sums to 1; because the exponentiated spectrum is
-    positive, the result is positive semi-definite by construction.
+    Computed through the full eigendecomposition, which validates L, by
+    exponentiating the spectrum; :class:`KernelMatrix` symmetrizes the
+    result. At beta = 0 the kernel is the identity and no eigensolve runs.
+    Because L annihilates the constant vector, every row of the result sums
+    to 1; because the exponentiated spectrum is positive, the result is
+    positive semi-definite by construction.
     """
     b = float(beta)
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"beta must be a finite nonnegative real, got {beta!r}")
-    lap = _checked_symmetric(laplacian, "laplacian")
     if b == 0.0:
+        lap = _checked_symmetric(laplacian, "laplacian")
         return KernelMatrix(np.eye(lap.shape[0]), beta=0.0)
-    decomp = eigendecompose_symmetric(lap)
+    decomp = eigendecompose_symmetric(laplacian)
     damped = np.exp(-b * decomp.eigenvalues)
     v = decomp.eigenvectors
-    k = (v * damped) @ v.T
-    return KernelMatrix((k + k.T) / 2.0, beta=b)
+    return KernelMatrix((v * damped) @ v.T, beta=b)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:
     """Map vertices to p-space using the eigenvectors of the p smallest eigenvalues.
 
     Row i is vertex i's coordinate vector. All p eigenvectors enter with equal
-    weight. Accepts either the Laplacian itself or an already-computed
-    :class:`EigenDecomposition` of it.
+    weight.
     """
-    if isinstance(laplacian, EigenDecomposition):
-        decomp = laplacian
-    else:
-        decomp = eigendecompose_symmetric(laplacian)
+    decomp = eigendecompose_symmetric(laplacian)
     n = decomp.order
     if not 1 <= p <= n:
         raise ValueError(f"p must be in 1..{n}, got {p}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cluster import kernel_kmeans, partition_stats, q_modularity, spectral_clustering
 from .errors import ParseError, UsageError
-from .graph import Partition, WeightedGraph, load_edge_list, summary_graph
+from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
 from .layout import Rect, constrained_full_layout, force_directed_layout, som_map_scene
 from .linalg import heat_kernel, spectral_embedding
 from .render import export_dot, render_svg
@@ -77,7 +77,8 @@ class RunConfig:
 
     Optional knobs default to ``None`` meaning "not given"; method-specific
     defaults are filled in by :meth:`resolved`. Knobs that do not apply to
-    the chosen method are rejected outright so typos fail loudly.
+    the chosen method are rejected outright so typos fail loudly. Value
+    ranges are checked once, by the library functions that use them.
     """
 
     input: str
@@ -103,25 +104,6 @@ class RunConfig:
                 raise UsageError(f"--{name} does not apply to method {self.method}")
         if self.method in _SOM_METHODS and self.grid is None:
             raise UsageError(f"--grid is required for method {self.method}")
-        if self.k is not None and self.k < 1:
-            raise UsageError(f"--k must be at least 1, got {self.k}")
-        if self.p is not None and self.p < 1:
-            raise UsageError(f"--p must be at least 1, got {self.p}")
-        if self.beta is not None and not (np.isfinite(self.beta) and self.beta >= 0):
-            raise UsageError(f"--beta must be a nonnegative number, got {self.beta}")
-        if self.grid is not None:
-            rows, cols = self.grid
-            if rows < 1 or cols < 1:
-                raise UsageError(f"--grid must be at least 1x1, got {rows}x{cols}")
-        if self.epochs is not None and self.epochs < 1:
-            raise UsageError(f"--epochs must be at least 1, got {self.epochs}")
-        if self.radius is not None:
-            start, end = self.radius
-            if not (np.isfinite(start) and np.isfinite(end) and start >= end > 0):
-                raise UsageError(
-                    f"--radius must satisfy start >= end > 0, got {start},{end}")
-        if self.restarts is not None and self.restarts < 1:
-            raise UsageError(f"--restarts must be at least 1, got {self.restarts}")
 
     def resolved(self) -> dict:
         """Full configuration with method-specific defaults filled in.
@@ -203,20 +185,9 @@ def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
         raise
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        raw = source.read()
-        return raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    try:
-        with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {source}: {exc}") from exc
-
-
 def read_document(path) -> dict:
     """Read a JSON document file, mapping malformed content to ParseError."""
-    text = _read_text(path)
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -333,15 +304,6 @@ def report_document(g: WeightedGraph, part: Partition, config: dict) -> dict:
     }
 
 
-def _load_graph(path) -> WeightedGraph:
-    if not hasattr(path, "read") and not os.path.exists(path):
-        raise ParseError(f"cannot read {path}: no such file")
-    try:
-        return load_edge_list(path)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
 def run_cluster(config: RunConfig) -> dict:
     """Cluster a graph per the config; write the partition and any report.
 
@@ -350,7 +312,7 @@ def run_cluster(config: RunConfig) -> dict:
     were written.
     """
     cfg = config.resolved()
-    g = _load_graph(config.input)
+    g = load_edge_list(config.input)
     method = config.method
     model = None
     if method == "spectral":
@@ -402,7 +364,7 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
     undeclared keys are categorical. Values of numeric keys must parse as
     finite reals. Blank lines and ``#`` comments are skipped.
     """
-    text = _read_text(source)
+    text = read_text(source)
     numeric: set[str] = set()
     categorical: set[str] = set()
     records: dict[str, dict[str, float | str]] = {}
@@ -566,12 +528,10 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         raise UsageError("exactly one of --partition and --model is required")
     if mode in ("map", "full") and model_path is None:
         raise UsageError(f"mode {mode} requires --model")
-    if iterations is not None and iterations < 1:
-        raise UsageError(f"--iterations must be at least 1, got {iterations}")
     if mode == "map" and iterations is not None:
         raise UsageError("--iterations does not apply to map mode")
 
-    g = _load_graph(input_path)
+    g = load_edge_list(input_path)
     if mode == "summary":
         doc = load_partition_document(partition_path or model_path)
         part = partition_for_graph(doc, g)
@@ -611,7 +571,7 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
 
 def run_stats(input_path, partition_path) -> dict:
     """Report document for a stored partition against its graph."""
-    g = _load_graph(input_path)
+    g = load_edge_list(input_path)
     doc = load_partition_document(partition_path)
     part = partition_for_graph(doc, g)
     config = {"input": str(input_path), "partition": str(partition_path),

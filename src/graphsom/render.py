@@ -13,14 +13,17 @@ import numpy as np
 from .graph import ClusterSummaryGraph, WeightedGraph
 from .layout import LayoutScene
 
-__all__ = ["render_svg", "export_dot", "DEFAULT_PALETTE"]
+__all__ = ["render_svg", "export_dot"]
 
-DEFAULT_PALETTE = (
+# glyph fills, cycled by cluster id
+_PALETTE = (
     "#4878a8", "#e49444", "#d1615d", "#85b6b2", "#6a9f58",
     "#e7ca60", "#a87c9f", "#f1a2a9", "#967662", "#b8b0ac",
 )
 
 _LABEL_FONT_SIZE = 10.0
+# largest cluster whose items still get text labels
+_LABEL_THRESHOLD = 3
 
 
 def _fmt(v: float) -> str:
@@ -55,33 +58,22 @@ def _raster_rects(raster: np.ndarray, frame) -> list[str]:
     return out
 
 
-def render_svg(scene: LayoutScene, *, labels: bool = True,
-               label_threshold: int = 3, umatrix=None,
-               palette=DEFAULT_PALETTE) -> bytes:
+def render_svg(scene: LayoutScene, *, umatrix=None) -> bytes:
     """Serialize a scene to a standalone SVG document.
 
     Layer order is background, u-matrix raster, cell borders, edges, glyphs,
-    labels. Glyphs are filled from ``palette`` cycled by cluster id. When
-    ``labels`` is on, an item gets a text label only if its cluster holds at
-    most ``label_threshold`` vertices, which keeps names readable by marking
-    just the small clusters.
+    labels. Glyphs are filled from a fixed palette cycled by cluster id. An
+    item gets a text label only if its cluster holds at most 3 vertices,
+    which keeps names readable by marking just the small clusters.
 
     Args:
         scene: what to draw.
-        labels: emit text labels for small-cluster items.
-        label_threshold: largest cluster size that still gets labels.
         umatrix: optional 2-D array drawn as a grayscale raster over the
             whole frame; pass an upsampled u-matrix for a smooth background.
-        palette: cycle of glyph fill colors.
 
     Returns:
         UTF-8 bytes of the SVG document.
     """
-    if label_threshold < 0:
-        raise ValueError("label_threshold must be nonnegative")
-    palette = tuple(palette)
-    if not palette:
-        raise ValueError("palette must not be empty")
     fr = scene.frame
     pos = scene.positions
 
@@ -111,24 +103,23 @@ def render_svg(scene: LayoutScene, *, labels: bool = True,
         parts.append("</g>")
     parts.append('<g class="glyphs" stroke="#333333" stroke-width="1">')
     for i in range(scene.num_items):
-        fill = palette[int(scene.item_groups[i]) % len(palette)]
+        fill = _PALETTE[int(scene.item_groups[i]) % len(_PALETTE)]
         parts.append(f'<circle cx="{_fmt(pos[i, 0])}" cy="{_fmt(pos[i, 1])}" '
                      f'r="{_fmt(scene.radii[i])}" fill="{fill}"/>')
     parts.append("</g>")
-    if labels:
-        group_sizes = scene.group_sizes
-        texts = []
-        for i in range(scene.num_items):
-            if group_sizes[scene.item_groups[i]] > label_threshold:
-                continue
-            x, y = pos[i, 0], pos[i, 1] - scene.radii[i] - 2.0
-            texts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" '
-                         f'text-anchor="middle">{escape(scene.item_labels[i])}</text>')
-        if texts:
-            parts.append(f'<g class="labels" font-family="sans-serif" '
-                         f'font-size="{_fmt(_LABEL_FONT_SIZE)}" fill="#111111">')
-            parts.extend(texts)
-            parts.append("</g>")
+    group_sizes = scene.group_sizes
+    texts = []
+    for i in range(scene.num_items):
+        if group_sizes[scene.item_groups[i]] > _LABEL_THRESHOLD:
+            continue
+        x, y = pos[i, 0], pos[i, 1] - scene.radii[i] - 2.0
+        texts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" '
+                     f'text-anchor="middle">{escape(scene.item_labels[i])}</text>')
+    if texts:
+        parts.append(f'<g class="labels" font-family="sans-serif" '
+                     f'font-size="{_fmt(_LABEL_FONT_SIZE)}" fill="#111111">')
+        parts.extend(texts)
+        parts.append("</g>")
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphsom
 from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
+from graphgen import random_graph
 
 
 def clique_file(path, size=4, bridge=0.0):
@@ -26,6 +28,15 @@ def clique_file(path, size=4, bridge=0.0):
 @pytest.fixture
 def graph_file(tmp_path):
     return clique_file(tmp_path / "graph.tsv")
+
+
+def package_env(**overrides):
+    """The environment of a subprocess that imports this graphsom."""
+    src = str(Path(graphsom.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 def cluster_spectral(graph_file, out, report=None, seed="0"):
@@ -88,6 +99,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "p.json")])
         assert code == 3
 
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\xff\tb\t1\n")
+        code = main(["cluster", "--input", str(bad), "--method", "spectral",
+                     "--k", "1", "--seed", "0",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 3
+        assert "utf-8" in capsys.readouterr().err
+
     def test_malformed_partition_document(self, tmp_path, graph_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -106,16 +126,12 @@ class TestExitCodes:
         assert "must be an integer" in capsys.readouterr().err
 
     def test_module_invocation_runs(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(graphsom.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "graphsom.cli", "attrs",
              "--partition", str(tmp_path / "absent.json"),
              "--attributes", str(tmp_path / "absent.tsv"),
              "--out", str(tmp_path / "s.json")],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=package_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
         assert proc.stderr.startswith("graphsom: ")
 
@@ -142,6 +158,80 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+# each knob value out of range for the library function that receives it;
+# the clique graph has 8 vertices
+BAD_KNOBS = [
+    ("spectral", ["--k", "0"]),
+    ("spectral", ["--k", "9"]),
+    ("spectral", ["--k", "2", "--p", "0"]),
+    ("kernel-kmeans", ["--k", "2", "--beta", "-1"]),
+    ("kernel-kmeans", ["--k", "2", "--beta", "nan"]),
+    ("kernel-som", ["--grid", "0x3"]),
+    ("kernel-som", ["--grid", "2x2", "--epochs", "0"]),
+    ("kernel-som", ["--grid", "2x2", "--radius", "0.5,1"]),
+    ("spectral-som", ["--grid", "2x2", "--radius", "nan,0.5"]),
+    ("spectral", ["--k", "2", "--restarts", "0"]),
+]
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize("method, knobs", BAD_KNOBS,
+                             ids=[" ".join(k) for _, k in BAD_KNOBS])
+    def test_cluster_exits_2_without_output(self, tmp_path, graph_file,
+                                            capsys, method, knobs):
+        code = main(["cluster", "--input", graph_file, "--method", method,
+                     *knobs, "--seed", "0", "--out", str(tmp_path / "p.json"),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("graphsom: ")
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
+    @pytest.mark.parametrize("mode", ["summary", "full"])
+    def test_zero_iterations_exits_2_without_output(self, tmp_path, mode,
+                                                    capsys):
+        graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
+        doc = tmp_path / "som.json"
+        assert main(["cluster", "--input", graph, "--method", "kernel-som",
+                     "--grid", "1x2", "--epochs", "5", "--seed", "0",
+                     "--out", str(doc)]) == 0
+        code = main(["layout", "--mode", mode, "--input", graph,
+                     "--model", str(doc), "--svg", str(tmp_path / "x.svg"),
+                     "--dot", str(tmp_path / "x.dot"),
+                     "--iterations", "0", "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("graphsom: ")
+        assert sorted(os.listdir(tmp_path)) == ["g.tsv", "som.json"]
+
+
+class TestEdgeListLabels:
+    def test_labels_stripped_to_match_attribute_table(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("anna \tbruno\t1\nbruno\t carla\t1\n"
+                         "carla\tanna\t1\n", encoding="utf-8")
+        doc = tmp_path / "p.json"
+        assert main(["cluster", "--input", str(graph), "--method", "spectral",
+                     "--k", "1", "--seed", "0", "--out", str(doc)]) == 0
+        assert sorted(json.loads(doc.read_text())["assignment"]) == \
+            ["anna", "bruno", "carla"]
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text("anna\tregion\tcoast\n", encoding="utf-8")
+        summary = tmp_path / "s.json"
+        assert main(["attrs", "--partition", str(doc),
+                     "--attributes", str(attrs), "--out", str(summary)]) == 0
+        region = json.loads(summary.read_text())["clusters"][0][
+            "categorical"]["region"]
+        assert region["count"] == 1 and region["missing"] == 2
+
+    def test_blank_label_exits_3(self, tmp_path, capsys):
+        graph = tmp_path / "g.tsv"
+        graph.write_text(" \tb\t1\n", encoding="utf-8")
+        code = main(["cluster", "--input", str(graph), "--method", "spectral",
+                     "--k", "1", "--seed", "0", "--out", str(tmp_path / "p.json")])
+        assert code == 3
+        assert "empty vertex label" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["g.tsv"]
 
 
 class TestNoPartialOutputs:
@@ -418,3 +508,26 @@ class TestParserShape:
         assert args.mode == "map"
         assert args.seed == 4
         assert args.dot is None and args.iterations is None
+
+
+class TestDeterminism:
+    def test_assignment_stable_across_blas_threads(self, tmp_path):
+        # the criterion-10 landmark graph; heat-kernel bits may differ
+        # between BLAS thread counts, the cluster assignment must not
+        g = random_graph(615, density=0.0225, rng=np.random.default_rng(10615))
+        lines = [f"{g.labels[i]}\t{g.labels[j]}\t{w!r}" for i, j, w in g.edges()]
+        graph = tmp_path / "landmark.tsv"
+        graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tables = []
+        for threads in ("1", "2"):
+            env = package_env(OPENBLAS_NUM_THREADS=threads,
+                              OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"som-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphsom.cli", "cluster",
+                 "--input", str(graph), "--method", "kernel-som",
+                 "--grid", "7x7", "--seed", "0", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            tables.append(json.loads(out.read_text())["assignment"])
+        assert tables[0] == tables[1]

@@ -15,7 +15,6 @@ class TestWeightedGraph:
         assert g.total_weight == 2.0
         assert g.labels == ("v0", "v1", "v2")
         np.testing.assert_array_equal(g.degrees, [1.0, 2.0, 1.0])
-        assert g.degree(1) == 2.0
 
     def test_weights_read_only(self):
         g = path_graph(3)
@@ -49,17 +48,6 @@ class TestWeightedGraph:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WeightedGraph((), np.zeros((0, 0)))
-
-    def test_degree_out_of_range(self):
-        g = path_graph(2)
-        with pytest.raises(IndexError):
-            g.degree(5)
-
-    def test_index_of(self):
-        g = path_graph(3)
-        assert g.index_of("v2") == 2
-        with pytest.raises(KeyError):
-            g.index_of("nope")
 
     def test_edges_iteration(self):
         g = path_graph(3, weight=2.5)
@@ -98,36 +86,10 @@ class TestLaplacian:
             assert x @ lap @ x >= -1e-10
 
 
-class TestConnectedComponents:
-    def test_path_is_single_component(self):
-        p = path_graph(6).connected_components()
-        assert p.k == 1
-        assert set(p.assignment.tolist()) == {0}
-
-    def test_two_cliques_split(self):
-        p = two_cliques(4).connected_components()
-        assert p.k == 2
-        np.testing.assert_array_equal(p.assignment, [0] * 4 + [1] * 4)
-
-    def test_bridge_merges(self):
-        p = two_cliques(4, bridge=0.5).connected_components()
-        assert p.k == 1
-
-    def test_numbering_by_smallest_vertex(self):
-        # edges: 0-2 and 1-3, so component 0 holds {0, 2}, component 1 holds {1, 3}
-        w = np.zeros((4, 4))
-        w[0, 2] = w[2, 0] = 1.0
-        w[1, 3] = w[3, 1] = 1.0
-        g = WeightedGraph(("a", "b", "c", "d"), w)
-        p = g.connected_components()
-        np.testing.assert_array_equal(p.assignment, [0, 1, 0, 1])
-
-
 class TestPartition:
     def test_sizes_and_members(self):
         p = Partition(np.array([0, 1, 0, 2]), 3)
         np.testing.assert_array_equal(p.sizes(), [2, 1, 1])
-        np.testing.assert_array_equal(p.members(0), [0, 2])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -135,20 +97,9 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([-1, 0]), 2)
 
-    def test_compact_drops_empty(self):
-        p = Partition(np.array([0, 4, 4, 2]), 6)
-        c = p.compact()
-        assert c.k == 3
-        np.testing.assert_array_equal(c.assignment, [0, 2, 2, 1])
-
-    def test_compact_noop_when_full(self):
-        p = Partition(np.array([0, 1]), 2)
-        assert p.compact() is p
-
-
 class TestLoadEdgeList:
-    def load(self, text, **kw):
-        return load_edge_list(io.StringIO(text), **kw)
+    def load(self, text):
+        return load_edge_list(io.StringIO(text))
 
     def test_basic(self):
         g = self.load("a\tb\t2.0\nb\tc\n")
@@ -170,10 +121,6 @@ class TestLoadEdgeList:
             g = self.load("a\ta\t3.0\na\tb\n")
         assert g.num_vertices == 2
         assert g.weights[0, 0] == 0.0
-
-    def test_self_loop_error_mode(self):
-        with pytest.raises(ParseError, match="self-loop"):
-            self.load("a\ta\n", on_self_loop="error")
 
     def test_self_loop_only_vertex_still_registered(self):
         with pytest.warns(UserWarning):
@@ -215,10 +162,24 @@ class TestLoadEdgeList:
         g = load_edge_list(io.BytesIO(b"a\tb\t2\n"))
         assert g.total_weight == 2.0
 
-    def test_bad_mode_flag(self):
-        with pytest.raises(ValueError, match="on_self_loop"):
-            self.load("a\tb\n", on_self_loop="ignore")
+    def test_missing_path_is_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_edge_list(tmp_path / "absent.tsv")
 
+    def test_labels_stripped(self):
+        g = self.load("anna \tbruno\t1\n bruno\t carla \t2\n")
+        assert g.labels == ("anna", "bruno", "carla")
+        assert g.weights[1, 2] == 2.0
+
+    def test_blank_label_after_strip(self):
+        with pytest.raises(ParseError, match="line 1: empty vertex label"):
+            self.load(" \tb\t1\n")
+
+    def test_self_loop_detected_after_strip(self):
+        with pytest.warns(UserWarning, match="self-loop"):
+            g = self.load("a \ta\na\tb\n")
+        assert g.labels == ("a", "b")
+        assert g.num_edges == 1
 
 class TestSummaryGraph:
     def test_two_cliques_with_bridge(self):

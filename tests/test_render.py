@@ -173,9 +173,9 @@ class TestRenderSvg:
         svg = render_svg(simple_scene(group_sizes=(2, 5)))
         texts = svg_elements(svg, "text")
         assert [t.text for t in texts] == ["a"]
-        svg_all = render_svg(simple_scene(group_sizes=(2, 5)), label_threshold=10)
+        svg_all = render_svg(simple_scene(group_sizes=(3, 1)))
         assert len(svg_elements(svg_all, "text")) == 2
-        svg_none = render_svg(simple_scene(group_sizes=(2, 5)), labels=False)
+        svg_none = render_svg(simple_scene(group_sizes=(4, 9)))
         assert b"<text" not in svg_none
 
     def test_labels_escaped(self):
@@ -190,10 +190,6 @@ class TestRenderSvg:
         assert lines[0].get("stroke-width") == "2.0000"
 
     def test_option_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            render_svg(simple_scene(), label_threshold=-1)
-        with pytest.raises(ValueError, match="palette"):
-            render_svg(simple_scene(), palette=())
         with pytest.raises(ValueError, match="2-D"):
             render_svg(simple_scene(), umatrix=np.zeros(4))
         with pytest.raises(ValueError, match="nonnegative"):
