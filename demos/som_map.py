@@ -28,7 +28,6 @@ from graphsom import (
     som_map_scene,
     som_partition,
     summary_graph,
-    u_matrix,
 )
 from graphsom.layout import Rect
 
@@ -70,7 +69,7 @@ def main():
     (out / "summary.svg").write_bytes(render_svg(scene))
 
     map_scene = som_map_scene(model, sg)
-    shading = u_matrix(model, kern).upsampled(8)
+    shading = model.umatrix.upsampled(8)
     (out / "map.svg").write_bytes(render_svg(map_scene, umatrix=shading))
     (out / "map.dot").write_bytes(export_dot(sg, map_scene))
 

@@ -202,6 +202,9 @@ def kernel_kmeans(kernel, k: int, seed: int, restarts: int = 10) -> KMeansResult
 def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
                         restarts: int = 10) -> KMeansResult:
     """k-means on the rows of the p lowest-eigenvalue Laplacian eigenvectors."""
+    # checked before the eigensolve, which would first reject a p defaulted to k
+    if not 1 <= k <= g.num_vertices:
+        raise ValueError(f"k must be in 1..{g.num_vertices}, got {k}")
     coords = spectral_embedding(g.laplacian(), p)
     result = kmeans(coords, k, seed, restarts)
     partition = Partition(result.partition.assignment, k, "spectral",

@@ -387,8 +387,6 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
             f"graph has {g.num_vertices}")
     grid = model.grid
     unit_of = model.assignment
-    if unit_of.min() < 0 or unit_of.max() >= grid.num_units:
-        raise ValueError("assignment references a unit outside the grid")
 
     frame, cells = _grid_frame_and_cells(grid)
     inner = [cell.shrunk(_CELL_MARGIN) for cell in cells]

@@ -19,10 +19,10 @@ from .cluster import kernel_kmeans, partition_stats, q_modularity, spectral_clus
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
 from .layout import Rect, constrained_full_layout, force_directed_layout, som_map_scene
-from .linalg import heat_kernel, spectral_embedding
+from .linalg import heat_kernel
 from .render import export_dot, render_svg
-from .som import SomGrid, SomModel, batch_kernel_som, default_radius, som_partition, \
-    spectral_som, u_matrix
+from .som import SomGrid, SomModel, UMatrix, batch_kernel_som, default_radius, \
+    som_partition, spectral_som
 
 __all__ = [
     "PARTITION_SCHEMA",
@@ -198,6 +198,8 @@ def read_document(path) -> dict:
 
 
 def load_partition_document(path) -> dict:
+    """Read a partition document; ids, ``num_clusters`` and ``params`` are
+    checked here, once, for every command that reads one."""
     doc = read_document(path)
     if doc.get("schema") != PARTITION_SCHEMA:
         raise ParseError(
@@ -207,8 +209,14 @@ def load_partition_document(path) -> dict:
         raise ParseError("partition document lacks an assignment table")
     for label, cluster in table.items():
         # bool is an int subclass, but JSON true/false is no cluster id
-        if not isinstance(cluster, int) or isinstance(cluster, bool):
-            raise ParseError(f"cluster id for {label!r} must be an integer")
+        if not isinstance(cluster, int) or isinstance(cluster, bool) or cluster < 0:
+            raise ParseError(f"cluster id for {label!r} must be an integer >= 0")
+    k = doc.get("num_clusters", max(table.values()) + 1)
+    if not isinstance(k, int) or isinstance(k, bool) or k <= max(table.values()):
+        raise ParseError(f"num_clusters must be an integer above every "
+                         f"cluster id, got {k!r}")
+    if not isinstance(doc.get("params", {}), dict):
+        raise ParseError("partition params must be a JSON object")
     return doc
 
 
@@ -228,11 +236,8 @@ def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
             f"partition mentions vertex {sorted(extra)[0]!r} not in the graph")
     assignment = np.array([table[label] for label in g.labels], dtype=np.int64)
     k = doc.get("num_clusters", int(assignment.max()) + 1)
-    try:
-        return Partition(assignment, int(k), str(doc.get("method", "")),
-                         doc.get("params", {}))
-    except ValueError as exc:
-        raise ParseError(f"inconsistent partition document: {exc}") from exc
+    return Partition(assignment, k, str(doc.get("method", "")),
+                     doc.get("params", {}))
 
 
 def model_from_document(doc: dict) -> SomModel:
@@ -243,11 +248,13 @@ def model_from_document(doc: dict) -> SomModel:
                          "pass a partition produced by a som method")
     try:
         grid = SomGrid(int(block["grid"]["rows"]), int(block["grid"]["cols"]))
+        umatrix = block.get("umatrix")
         return SomModel(grid,
                         np.array(block["gamma"], dtype=np.float64),
                         np.array(block["assignment"], dtype=np.int64),
                         np.array(block["energy_trace"], dtype=np.float64),
-                        block.get("params", {}))
+                        block.get("params", {}),
+                        None if umatrix is None else UMatrix(umatrix))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model block: {exc}") from exc
 
@@ -257,6 +264,7 @@ def _model_block(model: SomModel) -> dict:
             "params": dict(model.params),
             "energy_trace": model.energy_trace,
             "assignment": model.assignment,
+            "umatrix": model.umatrix.values,
             "gamma": model.gamma}
 
 
@@ -439,12 +447,9 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
     if unknown:
         raise UsageError(
             f"attribute table mentions vertex {unknown[0]!r} not in the partition")
-    k = int(partition_doc.get("num_clusters", max(assignment.values()) + 1))
+    k = partition_doc.get("num_clusters", max(assignment.values()) + 1)
     members: list[list[str]] = [[] for _ in range(k)]
     for label, cluster in assignment.items():
-        if not 0 <= cluster < k:
-            raise ParseError(f"cluster id {cluster} for vertex {label!r} "
-                             f"outside 0..{k - 1}")
         members[cluster].append(label)
 
     clusters = []
@@ -497,22 +502,6 @@ def run_attribute_summary(partition_path, attributes_path,
     return summary
 
 
-def _training_data(g: WeightedGraph, model: SomModel):
-    """Rebuild the feature view the map was trained on, from its params."""
-    method = str(model.params.get("method", ""))
-    if method == "kernel-som":
-        beta = model.params.get("beta")
-        if beta is None:
-            raise UsageError("model does not record the beta it was trained with")
-        return heat_kernel(g.laplacian(), float(beta))
-    if method == "spectral-som":
-        p = model.params.get("p")
-        if p is None:
-            raise UsageError("model does not record the embedding width p")
-        return spectral_embedding(g.laplacian(), int(p))
-    raise UsageError(f"cannot rebuild training data for method {method!r}")
-
-
 def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
                svg_path, dot_path=None, iterations=None, seed=0):
     """Render a scene for a graph and a stored partition or map.
@@ -549,11 +538,13 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
                 f"model was trained on {model.num_vertices} vertices, "
                 f"graph has {g.num_vertices}")
         if mode == "map":
+            if model.umatrix is None:
+                raise UsageError("model holds no u-matrix; re-run cluster "
+                                 "to draw its map")
             part = som_partition(model)
             sg = summary_graph(g, part)
             scene = som_map_scene(model, sg)
-            raster = u_matrix(model, _training_data(g, model)).upsampled(8)
-            svg = render_svg(scene, umatrix=raster)
+            svg = render_svg(scene, umatrix=model.umatrix.upsampled(8))
             dot_subject = sg
         else:
             scene = constrained_full_layout(

@@ -21,7 +21,7 @@ sizable fraction of random inputs. On a 1x2 grid all these rules coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -38,7 +38,6 @@ __all__ = [
     "batch_som",
     "spectral_som",
     "u_matrix",
-    "prototype_distances",
     "som_partition",
     "default_radius",
 ]
@@ -110,13 +109,15 @@ class SomGrid:
 
 @dataclass(frozen=True, eq=False)
 class SomModel:
-    """Trained map: convex prototype weights, final assignment, energy trace."""
+    """Trained map: convex prototype weights, final assignment, energy trace,
+    and the u-matrix that training computes (``None`` on hand-built models)."""
 
     grid: SomGrid
     gamma: np.ndarray
     assignment: np.ndarray
     energy_trace: np.ndarray
     params: Mapping[str, object] = field(default_factory=dict)
+    umatrix: UMatrix | None = None
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=np.float64)
@@ -133,6 +134,10 @@ class SomModel:
             raise ValueError("assignment length must match gamma columns")
         if a.size and (a.min() < 0 or a.max() >= m):
             raise ValueError(f"assignment must reference units 0..{m - 1}")
+        shape = (self.grid.rows, self.grid.cols)
+        if self.umatrix is not None and self.umatrix.values.shape != shape:
+            raise ValueError(f"umatrix must have shape {shape}, "
+                             f"got {self.umatrix.values.shape}")
         for name, arr in (("gamma", g), ("assignment", a), ("energy_trace", trace)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -188,10 +193,13 @@ def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
     return out
 
 
-def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int):
+def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int,
+           method: str, **params) -> SomModel:
     """Shared batch-SOM loop over either view of the vertices."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if radius is None:
+        radius = default_radius(grid)
     start, end = _check_radius(radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gamma = _initial_gamma(rng, grid.num_units, space.n)
@@ -209,7 +217,10 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int):
         dist2 = space.dist2(gamma)
         trace.append(float((influence * dist2).sum()))
     assignment = _smoothed_bmu(dist2, hn)
-    return gamma, assignment, np.array(trace)
+    params = {"method": method, "epochs": epochs, "radius": (start, end),
+              "seed": seed, **params}
+    return SomModel(grid, gamma, assignment, np.array(trace), params,
+                    _umatrix(space, grid, gamma))
 
 
 def batch_kernel_som(kernel, grid: SomGrid, epochs: int = 100,
@@ -223,15 +234,9 @@ def batch_kernel_som(kernel, grid: SomGrid, epochs: int = 100,
     The energy trace records the extended distortion after each epoch.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    if radius is None:
-        radius = default_radius(grid)
-    gamma, assignment, trace = _train(_FeatureSpace(kern), grid, epochs,
-                                      radius, seed)
-    params = {"method": "kernel-som", "epochs": epochs,
-              "radius": (float(radius[0]), float(radius[1])), "seed": seed}
-    if kern.beta is not None:
-        params["beta"] = kern.beta
-    return SomModel(grid, gamma, assignment, trace, params)
+    beta = {} if kern.beta is None else {"beta": kern.beta}
+    return _train(_FeatureSpace(kern), grid, epochs, radius, seed, "kernel-som",
+                  **beta)
 
 
 def batch_som(points, grid: SomGrid, epochs: int = 100,
@@ -243,13 +248,7 @@ def batch_som(points, grid: SomGrid, epochs: int = 100,
     carries the same gamma representation and feeding the Gram matrix
     X @ X.T to batch_kernel_som reproduces this function draw for draw.
     """
-    space = _FeatureSpace(points)
-    if radius is None:
-        radius = default_radius(grid)
-    gamma, assignment, trace = _train(space, grid, epochs, radius, seed)
-    params = {"method": "batch-som", "epochs": epochs,
-              "radius": (float(radius[0]), float(radius[1])), "seed": seed}
-    return SomModel(grid, gamma, assignment, trace, params)
+    return _train(_FeatureSpace(points), grid, epochs, radius, seed, "batch-som")
 
 
 def spectral_som(g: WeightedGraph, p: int, grid: SomGrid, epochs: int = 100,
@@ -258,11 +257,7 @@ def spectral_som(g: WeightedGraph, p: int, grid: SomGrid, epochs: int = 100,
     """Batch SOM on the spectral embedding of a graph."""
     coords = spectral_embedding(g.laplacian(), p)
     model = batch_som(coords, grid, epochs, radius, seed)
-    params = dict(model.params)
-    params["method"] = "spectral-som"
-    params["p"] = p
-    return SomModel(model.grid, model.gamma, model.assignment,
-                    model.energy_trace, params)
+    return replace(model, params={**model.params, "method": "spectral-som", "p": p})
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +270,8 @@ class UMatrix:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("u-matrix values must be finite")
         if (v < 0).any():
             raise ValueError("u-matrix values must be nonnegative")
         v.setflags(write=False)
@@ -304,36 +301,37 @@ class UMatrix:
         return out
 
 
-def prototype_distances(model: SomModel, data) -> np.ndarray:
-    """Exactly symmetric M x M feature-space distances between prototypes.
-
-    ``data`` must be what the model was trained on: a KernelMatrix for
-    kernel-trained models, or the n x p coordinate array for explicit ones
-    (a bare ndarray is always treated as coordinates).
-    """
-    space = _FeatureSpace(data)
-    if space.n != model.num_vertices:
-        raise ValueError(f"{space.what} does not match the model's "
-                         f"{model.num_vertices} vertices")
-    gram = space.gram(model.gamma)
+def _prototype_distances(space: _FeatureSpace, gamma: np.ndarray) -> np.ndarray:
+    """Exactly symmetric M x M feature-space distances between prototypes."""
+    gram = space.gram(gamma)
     sq = np.diagonal(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
 
 
-def u_matrix(model: SomModel, data) -> UMatrix:
-    """Mean feature-space distance from each prototype to its grid neighbors.
-
-    See :func:`prototype_distances` for what ``data`` must be.
-    """
-    dist = prototype_distances(model, data)
-    grid = model.grid
+def _umatrix(space: _FeatureSpace, grid: SomGrid, gamma: np.ndarray) -> UMatrix:
+    dist = _prototype_distances(space, gamma)
     values = np.zeros(grid.num_units)
     for m in range(grid.num_units):
         nbrs = grid.grid_neighbors(m)
         values[m] = float(np.mean(dist[m, nbrs])) if nbrs else 0.0
     return UMatrix(values.reshape(grid.rows, grid.cols))
+
+
+def u_matrix(model: SomModel, data) -> UMatrix:
+    """Mean feature-space distance from each prototype to its grid neighbors.
+
+    ``data`` must be what the model was trained on: a KernelMatrix for
+    kernel-trained models, or the n x p coordinate array for explicit ones
+    (a bare ndarray is always treated as coordinates). Trained models carry
+    this result as ``model.umatrix`` already.
+    """
+    space = _FeatureSpace(data)
+    if space.n != model.num_vertices:
+        raise ValueError(f"{space.what} does not match the model's "
+                         f"{model.num_vertices} vertices")
+    return _umatrix(space, model.grid, model.gamma)
 
 
 def som_partition(model: SomModel) -> Partition:

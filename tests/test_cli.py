@@ -188,6 +188,17 @@ class TestOutOfRangeValues:
         assert capsys.readouterr().err.startswith("graphsom: ")
         assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
 
+    @pytest.mark.parametrize("knobs, name", [
+        (["--k", "0"], "k"), (["--k", "9"], "k"),
+        (["--k", "2", "--p", "0"], "p"), (["--k", "2", "--p", "9"], "p")])
+    def test_spectral_error_names_the_bad_knob(self, tmp_path, graph_file,
+                                               capsys, knobs, name):
+        code = main(["cluster", "--input", graph_file, "--method", "spectral",
+                     *knobs, "--seed", "0", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"graphsom: {name} must be")
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
     @pytest.mark.parametrize("mode", ["summary", "full"])
     def test_zero_iterations_exits_2_without_output(self, tmp_path, mode,
                                                     capsys):
@@ -374,6 +385,32 @@ class TestAttrsCommand:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
         assert "stranger" in capsys.readouterr().err
+
+    # the spectral partition of the clique graph uses cluster ids 0 and 1
+    @pytest.mark.parametrize("command", ["attrs", "stats"])
+    @pytest.mark.parametrize("num_clusters", [None, "x", True, 0, 1.5, 1],
+                             ids=["null", "string", "true", "0", "1.5", "1"])
+    def test_bad_num_clusters_is_parse_error(self, tmp_path, graph_file,
+                                             capsys, command, num_clusters):
+        out = tmp_path / "p.json"
+        assert cluster_spectral(graph_file, out) == 0
+        doc = json.loads(out.read_text())
+        doc["num_clusters"] = num_clusters
+        out.write_text(json.dumps(doc))
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text("n0\tplace\tX\n")
+        summary = tmp_path / "s.json"
+        capsys.readouterr()
+        if command == "attrs":
+            argv = ["attrs", "--partition", str(out),
+                    "--attributes", str(attrs), "--out", str(summary)]
+        else:
+            argv = ["stats", "--input", graph_file, "--partition", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "num_clusters" in captured.err
+        assert captured.out == ""
+        assert not summary.exists()
 
     def test_bad_numeric_value_is_parse_error(self, tmp_path, graph_file):
         out = tmp_path / "p.json"

@@ -148,6 +148,20 @@ class TestRunCluster:
         np.testing.assert_array_equal(model.assignment,
                                       np.array(block["assignment"]))
 
+    def test_model_block_round_trips_umatrix(self, tmp_path):
+        write_cliques(tmp_path / "graph.tsv", size=4, bridge=1.0)
+        config = config_for(tmp_path, "kernel-som", grid=(2, 2), beta=0.5,
+                            epochs=20)
+        run_cluster(config)
+        pdoc = json.loads((tmp_path / "partition.json").read_text())
+        block = pdoc["model"]
+        assert list(block) == ["grid", "params", "energy_trace", "assignment",
+                               "umatrix", "gamma"]
+        model = model_from_document(pdoc)
+        np.testing.assert_array_equal(model.umatrix.values,
+                                      np.array(block["umatrix"]))
+        assert model.umatrix.values.shape == (2, 2)
+
     def test_kernel_kmeans_default_beta_recorded(self, tmp_path):
         write_cliques(tmp_path / "graph.tsv", size=4)
         config = config_for(tmp_path, "kernel-kmeans", k=2)
@@ -227,12 +241,20 @@ class TestPartitionDocuments:
             partition_for_graph(doc, smaller)
 
     def test_cluster_id_out_of_range(self, tmp_path):
-        doc = {"schema": PARTITION_SCHEMA,
-               "num_clusters": 1,
-               "assignment": {f"v{i}": (1 if i == 0 else 0)
-                              for i in range(20)}}
-        with pytest.raises(ParseError, match="inconsistent"):
-            partition_for_graph(doc, two_cliques(10))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "schema": PARTITION_SCHEMA,
+            "num_clusters": 1,
+            "assignment": {f"v{i}": (1 if i == 0 else 0) for i in range(20)}}))
+        with pytest.raises(ParseError, match="num_clusters"):
+            load_partition_document(bad)
+
+    def test_params_must_be_an_object(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema": "graphsom/partition", "params": "x", '
+                       '"assignment": {"a": 0}}')
+        with pytest.raises(ParseError, match="params"):
+            load_partition_document(bad)
 
     def test_model_block_required(self, tmp_path):
         path = self.partition_doc(tmp_path)
@@ -245,6 +267,19 @@ class TestPartitionDocuments:
                          "gamma": [[0.5, 0.5]],  # wrong row count
                          "assignment": [0, 0],
                          "energy_trace": []}}
+        with pytest.raises(ParseError, match="malformed model block"):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize("umatrix", [
+        [[0.1, 0.2, 0.3]], [[0.1], [0.2]], [0.1, 0.2], [[0.1, -0.2]],
+        [[0.1, float("nan")]], [[0.1, None]], "flat"],
+        ids=["wide", "tall", "1-D", "negative", "nan", "null", "string"])
+    def test_malformed_umatrix(self, umatrix):
+        doc = {"model": {"grid": {"rows": 1, "cols": 2},
+                         "gamma": [[1.0, 0.0], [0.0, 1.0]],
+                         "assignment": [0, 1],
+                         "energy_trace": [0.0],
+                         "umatrix": umatrix}}
         with pytest.raises(ParseError, match="malformed model block"):
             model_from_document(doc)
 
@@ -379,6 +414,34 @@ class TestRunLayoutAndStats:
         assert b'class="umatrix"' in data
         assert b'class="glyphs"' in data
         assert dot.read_bytes().startswith(b"graph clusters {")
+
+    def test_map_layout_runs_no_eigensolve(self, tmp_path, monkeypatch):
+        doc = self.som_doc(tmp_path)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("map mode must draw the stored u-matrix")
+
+        monkeypatch.setattr("graphsom.linalg.eigendecompose_symmetric",
+                            no_eigensolve)
+        svg = tmp_path / "map.svg"
+        run_layout("map", tmp_path / "graph.tsv", model_path=doc,
+                   svg_path=svg, seed=0)
+        assert b'class="umatrix"' in svg.read_bytes()
+
+    def test_document_without_umatrix(self, tmp_path):
+        # documents written before maps kept their u-matrix
+        doc = self.som_doc(tmp_path)
+        pdoc = json.loads(doc.read_text())
+        del pdoc["model"]["umatrix"]
+        doc.write_bytes(document_bytes(pdoc))
+        graph = tmp_path / "graph.tsv"
+        run_layout("full", graph, model_path=doc,
+                   svg_path=tmp_path / "full.svg", iterations=10, seed=0)
+        assert (tmp_path / "full.svg").exists()
+        with pytest.raises(UsageError, match="re-run cluster"):
+            run_layout("map", graph, model_path=doc,
+                       svg_path=tmp_path / "map.svg", seed=0)
+        assert not (tmp_path / "map.svg").exists()
 
     def test_full_layout_deterministic(self, tmp_path):
         doc = self.som_doc(tmp_path)

@@ -262,11 +262,12 @@ class TestUMatrix:
         assert u_k.values.max() > 0.0
 
     def test_contributions_symmetric(self):
-        from graphsom.som import prototype_distances
+        from graphsom.linalg import _FeatureSpace
+        from graphsom.som import _prototype_distances
         rng = np.random.default_rng(16)
         kern = random_gram(rng, 10)
         model = batch_kernel_som(kern, SomGrid(2, 3), epochs=10, seed=17)
-        d = prototype_distances(model, kern)
+        d = _prototype_distances(_FeatureSpace(kern), model.gamma)
         assert (d == d.T).all()
         assert (np.diagonal(d) == 0.0).all()
 
@@ -295,6 +296,36 @@ class TestUMatrix:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="nonnegative"):
             UMatrix(np.array([[-0.1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            UMatrix(np.array([[0.5, bad]]))
+
+    def test_trained_models_carry_their_umatrix(self):
+        # the stored u-matrix is bit-equal to one rebuilt from the training data
+        from graphsom.linalg import spectral_embedding
+        g = two_cliques(6, bridge=0.5)
+        grid = SomGrid(2, 3)
+        kern = heat_kernel(g.laplacian(), 0.3)
+        model = batch_kernel_som(kern, grid, epochs=20, seed=21)
+        np.testing.assert_array_equal(model.umatrix.values,
+                                      u_matrix(model, kern).values)
+        coords = np.random.default_rng(22).normal(size=(12, 3))
+        model = batch_som(coords, grid, epochs=20, seed=23)
+        np.testing.assert_array_equal(model.umatrix.values,
+                                      u_matrix(model, coords).values)
+        model = spectral_som(g, 4, grid, epochs=20, seed=24)
+        embedded = spectral_embedding(g.laplacian(), 4)
+        np.testing.assert_array_equal(model.umatrix.values,
+                                      u_matrix(model, embedded).values)
+        assert model.params["method"] == "spectral-som"
+        assert model.umatrix.values.max() > 0.0
+
+    def test_model_rejects_mis_shaped_umatrix(self):
+        with pytest.raises(ValueError, match="umatrix must have shape"):
+            SomModel(SomGrid(1, 2), np.eye(2), np.array([0, 1]),
+                     np.array([0.0]), umatrix=UMatrix(np.zeros((2, 1))))
 
 
 class TestSomPartition:
