@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Mapping
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "ATTRIBUTE_SUMMARY_SCHEMA",
     "SCHEMA_VERSION",
+    "PARTITION_SCHEMA_VERSION",
     "RunConfig",
     "AttributeTable",
     "parse_attribute_table",
@@ -48,6 +49,7 @@ PARTITION_SCHEMA = "graphsom/partition"
 REPORT_SCHEMA = "graphsom/report"
 ATTRIBUTE_SUMMARY_SCHEMA = "graphsom/attribute-summary"
 SCHEMA_VERSION = 1
+PARTITION_SCHEMA_VERSION = 2
 
 METHODS = ("spectral", "kernel-kmeans", "spectral-som", "kernel-som")
 _SOM_METHODS = ("spectral-som", "kernel-som")
@@ -241,16 +243,20 @@ def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
 
 
 def model_from_document(doc: dict) -> SomModel:
-    """Rebuild the trained map stored under a document's ``model`` key."""
+    """Rebuild the map under a document's ``model`` key, in label-table order."""
     block = doc.get("model")
     if block is None:
         raise UsageError("document holds no trained map; "
                          "pass a partition produced by a som method")
     try:
-        grid = SomGrid(int(block["grid"]["rows"]), int(block["grid"]["cols"]))
+        dims = [block["grid"]["rows"], block["grid"]["cols"]]
+        # bool is an int subclass, but JSON true is no grid size
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+            raise ValueError(f"grid rows and cols must be integers, got {dims}")
+        if len(block["assignment"]) != len(doc["assignment"]):
+            raise ValueError("assignment length differs from the label table")
         umatrix = block.get("umatrix")
-        return SomModel(grid,
-                        np.array(block["gamma"], dtype=np.float64),
+        return SomModel(SomGrid(*dims), None,
                         np.array(block["assignment"], dtype=np.int64),
                         np.array(block["energy_trace"], dtype=np.float64),
                         block.get("params", {}),
@@ -264,14 +270,13 @@ def _model_block(model: SomModel) -> dict:
             "params": dict(model.params),
             "energy_trace": model.energy_trace,
             "assignment": model.assignment,
-            "umatrix": model.umatrix.values,
-            "gamma": model.gamma}
+            "umatrix": model.umatrix.values}
 
 
 def partition_document(g: WeightedGraph, part: Partition, config: dict,
                        model: SomModel | None = None) -> dict:
     doc = {"schema": PARTITION_SCHEMA,
-           "schema_version": SCHEMA_VERSION,
+           "schema_version": PARTITION_SCHEMA_VERSION,
            "method": part.method_tag,
            "seed": config.get("seed"),
            "num_clusters": int(part.k),
@@ -521,39 +526,33 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         raise UsageError("--iterations does not apply to map mode")
 
     g = load_edge_list(input_path)
+    doc = load_partition_document(partition_path or model_path)
+    # matches every mode's document to the graph by vertex label
+    part = partition_for_graph(doc, g)
+    umatrix = None
     if mode == "summary":
-        doc = load_partition_document(partition_path or model_path)
-        part = partition_for_graph(doc, g)
-        sg = summary_graph(g, part)
+        dot_subject = summary_graph(g, part)
         scene = force_directed_layout(
-            sg, SUMMARY_ITERATIONS if iterations is None else iterations,
+            dot_subject, SUMMARY_ITERATIONS if iterations is None else iterations,
             _SUMMARY_FRAME, seed)
-        svg = render_svg(scene)
-        dot_subject = sg
     else:
-        doc = load_partition_document(model_path)
         model = model_from_document(doc)
-        if model.num_vertices != g.num_vertices:
-            raise UsageError(
-                f"model was trained on {model.num_vertices} vertices, "
-                f"graph has {g.num_vertices}")
-        if mode == "map":
-            if model.umatrix is None:
-                raise UsageError("model holds no u-matrix; re-run cluster "
-                                 "to draw its map")
-            part = som_partition(model)
-            sg = summary_graph(g, part)
-            scene = som_map_scene(model, sg)
-            svg = render_svg(scene, umatrix=model.umatrix.upsampled(8))
-            dot_subject = sg
-        else:
+        units = dict(zip(doc["assignment"], model.assignment))
+        model = replace(model, assignment=[units[label] for label in g.labels])
+        if mode == "full":
+            dot_subject = g
             scene = constrained_full_layout(
                 g, model, FULL_ITERATIONS if iterations is None else iterations,
                 seed)
-            svg = render_svg(scene)
-            dot_subject = g
+        elif model.umatrix is None:
+            raise UsageError("model holds no u-matrix; re-run cluster "
+                             "to draw its map")
+        else:
+            dot_subject = summary_graph(g, som_partition(model))
+            scene = som_map_scene(model, dot_subject)
+            umatrix = model.umatrix.upsampled(8)
 
-    outputs = [(svg_path, svg)]
+    outputs = [(svg_path, render_svg(scene, umatrix=umatrix))]
     if dot_path is not None:
         outputs.append((dot_path, export_dot(dot_subject, scene)))
     _write_outputs(outputs)

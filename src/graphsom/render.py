@@ -6,8 +6,6 @@ so the same scene always serializes to the same bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .graph import ClusterSummaryGraph, WeightedGraph
@@ -28,6 +26,11 @@ _LABEL_THRESHOLD = 3
 
 def _fmt(v: float) -> str:
     return f"{float(v):.4f}"
+
+
+def _escape(text: str) -> str:
+    """XML-escape text content: ``&`` first, then ``<`` and ``>``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _shade(value: float, vmax: float) -> str:
@@ -114,7 +117,7 @@ def render_svg(scene: LayoutScene, *, umatrix=None) -> bytes:
             continue
         x, y = pos[i, 0], pos[i, 1] - scene.radii[i] - 2.0
         texts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" '
-                     f'text-anchor="middle">{escape(scene.item_labels[i])}</text>')
+                     f'text-anchor="middle">{_escape(scene.item_labels[i])}</text>')
     if texts:
         parts.append(f'<g class="labels" font-family="sans-serif" '
                      f'font-size="{_fmt(_LABEL_FONT_SIZE)}" fill="#111111">')

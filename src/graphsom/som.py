@@ -109,29 +109,30 @@ class SomGrid:
 
 @dataclass(frozen=True, eq=False)
 class SomModel:
-    """Trained map: convex prototype weights, final assignment, energy trace,
-    and the u-matrix that training computes (``None`` on hand-built models)."""
+    """Trained map: convex prototype weights (``None`` when read from a document),
+    final assignment, energy trace, and u-matrix (``None`` on hand-built models)."""
 
     grid: SomGrid
-    gamma: np.ndarray
+    gamma: np.ndarray | None
     assignment: np.ndarray
     energy_trace: np.ndarray
     params: Mapping[str, object] = field(default_factory=dict)
     umatrix: UMatrix | None = None
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=np.float64)
+        g = None if self.gamma is None else np.array(self.gamma, dtype=np.float64)
         a = np.array(self.assignment, dtype=np.int64)
         trace = np.array(self.energy_trace, dtype=np.float64)
         m = self.grid.num_units
-        if g.ndim != 2 or g.shape[0] != m:
-            raise ValueError(f"gamma must have {m} rows, got shape {g.shape}")
-        if (g < -1e-10).any():
-            raise ValueError("gamma entries must be nonnegative")
-        if np.abs(g.sum(axis=1) - 1.0).max() > 1e-8:
-            raise ValueError("gamma rows must sum to 1")
-        if a.ndim != 1 or a.size != g.shape[1]:
-            raise ValueError("assignment length must match gamma columns")
+        if g is not None:
+            if g.ndim != 2 or g.shape[0] != m:
+                raise ValueError(f"gamma must have {m} rows, got shape {g.shape}")
+            if (g < -1e-10).any():
+                raise ValueError("gamma entries must be nonnegative")
+            if np.abs(g.sum(axis=1) - 1.0).max() > 1e-8:
+                raise ValueError("gamma rows must sum to 1")
+        if a.ndim != 1 or (g is not None and a.size != g.shape[1]):
+            raise ValueError("assignment must be 1-D, one unit per gamma column")
         if a.size and (a.min() < 0 or a.max() >= m):
             raise ValueError(f"assignment must reference units 0..{m - 1}")
         shape = (self.grid.rows, self.grid.cols)
@@ -139,13 +140,14 @@ class SomModel:
             raise ValueError(f"umatrix must have shape {shape}, "
                              f"got {self.umatrix.values.shape}")
         for name, arr in (("gamma", g), ("assignment", a), ("energy_trace", trace)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            if arr is not None:
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         object.__setattr__(self, "params", dict(self.params))
 
     @property
     def num_vertices(self) -> int:
-        return int(self.gamma.shape[1])
+        return int(self.assignment.size)
 
     def unit_counts(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.grid.num_units)
@@ -327,6 +329,8 @@ def u_matrix(model: SomModel, data) -> UMatrix:
     (a bare ndarray is always treated as coordinates). Trained models carry
     this result as ``model.umatrix`` already.
     """
+    if model.gamma is None:
+        raise ValueError("a model read from a document has no gamma; use model.umatrix")
     space = _FeatureSpace(data)
     if space.n != model.num_vertices:
         raise ValueError(f"{space.what} does not match the model's "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,11 @@ import pytest
 import graphsom
 from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
+from graphsom.graph import load_edge_list
+from graphsom.layout import CELL_SIDE
+from graphsom.linalg import heat_kernel
+from graphsom.pipeline import document_bytes
+from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import random_graph
 
 
@@ -356,6 +362,18 @@ class TestClusterCommand:
         assert doc["model"]["grid"] == {"rows": 1, "cols": 2}
         assert doc["params"]["method"] == "kernel-som"
 
+    @pytest.mark.parametrize("method", ["kernel-som", "spectral-som"])
+    def test_som_documents_hold_no_gamma(self, tmp_path, method):
+        graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
+        out = tmp_path / "som.json"
+        assert main(["cluster", "--input", graph, "--method", method,
+                     "--grid", "1x2", "--epochs", "10", "--seed", "0",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["schema_version"] == 2
+        assert "gamma" not in doc["model"]
+        assert "gamma" not in out.read_text()
+
 
 class TestAttrsCommand:
     def test_summary_document(self, tmp_path, graph_file):
@@ -499,6 +517,100 @@ class TestLayoutCommand:
                      "--seed", "0"])
         assert code == 2
         assert "no trained map" in capsys.readouterr().err
+
+    def test_model_matched_by_label(self, tmp_path, som_doc):
+        # the same edges listed backwards put the vertices in another order
+        graph, doc = som_doc
+        lines = Path(graph).read_text().splitlines()
+        reordered = tmp_path / "g2.tsv"
+        reordered.write_text("\n".join(reversed(lines)) + "\n")
+        assert load_edge_list(reordered).labels != load_edge_list(graph).labels
+        pdoc = json.loads(Path(doc).read_text())
+        unit_of = dict(zip(pdoc["assignment"], pdoc["model"]["assignment"]))
+        cols = pdoc["model"]["grid"]["cols"]
+
+        dot = tmp_path / "f.dot"
+        assert main(["layout", "--mode", "full", "--input", str(reordered),
+                     "--model", doc, "--svg", str(tmp_path / "f.svg"),
+                     "--dot", str(dot), "--iterations", "40",
+                     "--seed", "0"]) == 0
+        pos = re.findall(r'^  "([^"]+)" \[pos="([-\d.]+),([-\d.]+)!"',
+                         dot.read_text(), re.M)
+        assert sorted(label for label, _, _ in pos) == sorted(unit_of)
+        for label, x, y in pos:
+            r, c = divmod(unit_of[label], cols)
+            assert c * CELL_SIDE <= float(x) <= (c + 1) * CELL_SIDE, label
+            assert r * CELL_SIDE <= float(y) <= (r + 1) * CELL_SIDE, label
+
+        drawn = {}
+        for name, source in (("g1", graph), ("g2", str(reordered))):
+            svg, mdot = tmp_path / f"{name}.svg", tmp_path / f"{name}.dot"
+            assert main(["layout", "--mode", "map", "--input", source,
+                         "--model", doc, "--svg", str(svg),
+                         "--dot", str(mdot), "--seed", "0"]) == 0
+            drawn[name] = (svg.read_bytes(), mdot.read_bytes())
+        assert drawn["g1"] == drawn["g2"]
+
+    @pytest.mark.parametrize("mode", ["map", "full", "summary"])
+    def test_unknown_vertex_exits_2(self, tmp_path, som_doc, capsys, mode):
+        graph, doc = som_doc
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text(Path(graph).read_text().replace("n7\t", "q\t")
+                           .replace("n7\n", "q\n"))
+        svg = tmp_path / "x.svg"
+        flag = "--partition" if mode == "summary" else "--model"
+        capsys.readouterr()
+        assert main(["layout", "--mode", mode, "--input", str(renamed),
+                     flag, doc, "--svg", str(svg), "--seed", "0"]) == 2
+        assert "'q'" in capsys.readouterr().err
+        assert not svg.exists()
+
+
+class TestVersion1Documents:
+    def test_same_outputs_as_version_2(self, tmp_path, capsys):
+        # a version 1 document is a version 2 one plus the prototype weights
+        graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
+        v2 = tmp_path / "v2.json"
+        assert main(["cluster", "--input", graph, "--method", "kernel-som",
+                     "--grid", "1x2", "--beta", "0.5", "--epochs", "30",
+                     "--seed", "0", "--out", str(v2)]) == 0
+        model = batch_kernel_som(heat_kernel(load_edge_list(graph).laplacian(),
+                                             0.5), SomGrid(1, 2), 30, seed=0)
+        doc = json.loads(v2.read_text())
+        assert doc["model"]["assignment"] == model.assignment.tolist()
+        doc["schema_version"] = 1
+        doc["model"]["gamma"] = model.gamma
+        v1 = document_bytes(doc)
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text("".join(f"n{i}\tplace\t{'XY'[i % 2]}\n"
+                                 for i in range(8)))
+
+        def outputs(version, data):
+            # stats reports the document's path, so both versions use one
+            source = tmp_path / "som.json"
+            source.write_bytes(data)
+            out = tmp_path / version
+            out.mkdir()
+            capsys.readouterr()
+            assert main(["stats", "--input", graph,
+                         "--partition", str(source)]) == 0
+            got = {"stats": capsys.readouterr().out}
+            assert main(["attrs", "--partition", str(source),
+                         "--attributes", str(attrs),
+                         "--out", str(out / "attrs.json")]) == 0
+            for mode in ("summary", "map", "full"):
+                flag = "--partition" if mode == "summary" else "--model"
+                argv = ["layout", "--mode", mode, "--input", graph,
+                        flag, str(source), "--svg", str(out / f"{mode}.svg"),
+                        "--dot", str(out / f"{mode}.dot"), "--seed", "0"]
+                if mode != "map":
+                    argv += ["--iterations", "40"]
+                assert main(argv) == 0
+            for path in sorted(out.iterdir()):
+                got[path.name] = path.read_bytes()
+            return got
+
+        assert outputs("from-v1", v1) == outputs("from-v2", v2.read_bytes())
 
 
 class TestStatsCommand:

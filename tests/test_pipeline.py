@@ -22,7 +22,7 @@ from graphsom.pipeline import (
     run_layout,
     run_stats,
 )
-from graphsom.som import SomGrid, default_radius
+from graphsom.som import SomGrid, default_radius, u_matrix
 from graphgen import two_cliques
 
 
@@ -106,7 +106,7 @@ class TestRunCluster:
 
         pdoc = json.loads((tmp_path / "partition.json").read_text())
         assert pdoc["schema"] == PARTITION_SCHEMA
-        assert pdoc["schema_version"] == 1
+        assert pdoc["schema_version"] == 2
         assert pdoc["method"] == "spectral"
         assert pdoc["seed"] == 0
         assert pdoc["num_clusters"] == 2
@@ -138,8 +138,7 @@ class TestRunCluster:
         assert pdoc["num_clusters"] == 2
         block = pdoc["model"]
         assert block["grid"] == {"rows": 1, "cols": 2}
-        assert len(block["gamma"]) == 2
-        assert len(block["gamma"][0]) == 20
+        assert "gamma" not in block
         assert len(block["assignment"]) == 20
         assert block["params"]["method"] == "kernel-som"
         assert block["params"]["beta"] == 0.5
@@ -156,7 +155,7 @@ class TestRunCluster:
         pdoc = json.loads((tmp_path / "partition.json").read_text())
         block = pdoc["model"]
         assert list(block) == ["grid", "params", "energy_trace", "assignment",
-                               "umatrix", "gamma"]
+                               "umatrix"]
         model = model_from_document(pdoc)
         np.testing.assert_array_equal(model.umatrix.values,
                                       np.array(block["umatrix"]))
@@ -263,25 +262,55 @@ class TestPartitionDocuments:
             model_from_document(doc)
 
     def test_malformed_model_block(self):
-        doc = {"model": {"grid": {"rows": 1, "cols": 2},
-                         "gamma": [[0.5, 0.5]],  # wrong row count
-                         "assignment": [0, 0],
-                         "energy_trace": []}}
-        with pytest.raises(ParseError, match="malformed model block"):
-            model_from_document(doc)
+        # a unit outside the 1x2 grid, then one vertex too few
+        for units in ([0, 2], [0]):
+            doc = {"assignment": {"a": 0, "b": 1},
+                   "model": {"grid": {"rows": 1, "cols": 2},
+                             "assignment": units,
+                             "energy_trace": []}}
+            with pytest.raises(ParseError, match="malformed model block"):
+                model_from_document(doc)
 
     @pytest.mark.parametrize("umatrix", [
         [[0.1, 0.2, 0.3]], [[0.1], [0.2]], [0.1, 0.2], [[0.1, -0.2]],
         [[0.1, float("nan")]], [[0.1, None]], "flat"],
         ids=["wide", "tall", "1-D", "negative", "nan", "null", "string"])
     def test_malformed_umatrix(self, umatrix):
-        doc = {"model": {"grid": {"rows": 1, "cols": 2},
-                         "gamma": [[1.0, 0.0], [0.0, 1.0]],
+        doc = {"assignment": {"a": 0, "b": 1},
+               "model": {"grid": {"rows": 1, "cols": 2},
                          "assignment": [0, 1],
                          "energy_trace": [0.0],
                          "umatrix": umatrix}}
         with pytest.raises(ParseError, match="malformed model block"):
             model_from_document(doc)
+
+    @staticmethod
+    def hand_doc(rows=1, cols=2):
+        return {"assignment": {"a": 0, "b": 1},
+                "model": {"grid": {"rows": rows, "cols": cols},
+                          "assignment": [0, 1],
+                          "energy_trace": [0.0],
+                          "umatrix": [[0.1, 0.1]]}}
+
+    @pytest.mark.parametrize("size", [2.9, "2", True, 0, None],
+                             ids=["2.9", "string", "true", "0", "null"])
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_grid_size_must_be_integer(self, key, size):
+        # every size the int() of a bad value gives would fit this block
+        doc = self.hand_doc()
+        doc["model"]["grid"][key] = size
+        doc["model"]["assignment"] = [0, 0]
+        del doc["model"]["umatrix"]
+        with pytest.raises(ParseError, match="malformed model block"):
+            model_from_document(doc)
+
+    def test_model_from_document_has_no_gamma(self):
+        model = model_from_document(self.hand_doc())
+        assert model.gamma is None
+        assert model.num_vertices == 2
+        np.testing.assert_array_equal(model.umatrix.values, [[0.1, 0.1]])
+        with pytest.raises(ValueError, match="model.umatrix"):
+            u_matrix(model, np.eye(2))
 
 
 class TestAttributeTable:
@@ -479,9 +508,10 @@ class TestRunLayoutAndStats:
         doc = self.som_doc(tmp_path)
         other = tmp_path / "other.tsv"
         write_cliques(other, size=3)
-        with pytest.raises(UsageError, match="trained on"):
+        with pytest.raises(UsageError, match="not in the graph"):
             run_layout("full", other, model_path=doc,
                        svg_path=tmp_path / "x.svg", seed=0)
+        assert not (tmp_path / "x.svg").exists()
 
     def test_stats_roundtrip(self, tmp_path):
         doc_path = self.som_doc(tmp_path, bridge=0.0)

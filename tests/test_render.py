@@ -183,6 +183,9 @@ class TestRenderSvg:
         assert b"a&lt;b&amp;c" in svg
         assert b"<b&c" not in svg
         assert svg_elements(svg, "text")[0].text == "a<b&c"
+        svg = render_svg(simple_scene(labels=("x>&y<z&amp;", "d")))
+        assert b">x&gt;&amp;y&lt;z&amp;amp;</text>" in svg
+        assert svg_elements(svg, "text")[0].text == "x>&y<z&amp;"
 
     def test_edge_widths_written(self):
         svg = render_svg(simple_scene())
