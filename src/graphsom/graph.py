@@ -7,6 +7,7 @@ dense storage keeps every downstream eigensolve and kernel loop simple.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 
 __all__ = [
     "WeightedGraph",
@@ -26,6 +27,12 @@ __all__ = [
     "load_edge_list",
     "summary_graph",
 ]
+
+# Largest vertex count load_edge_list accepts. The weights, the Laplacian and
+# the kernel are dense n x n float64 arrays of 8 n^2 bytes each, and a cluster
+# command holds about six of them at its peak (see README, "Memory"): at this
+# limit one array takes 800 MB and the peak about 4.8 GB.
+MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +79,8 @@ class WeightedGraph:
     @cached_property
     def num_edges(self) -> int:
         """Number of vertex pairs with positive weight."""
-        return int(np.count_nonzero(np.triu(self.weights, 1)))
+        # W is symmetric with a zero diagonal, so each pair is counted twice
+        return int(np.count_nonzero(self.weights)) // 2
 
     @cached_property
     def total_weight(self) -> float:
@@ -87,16 +95,17 @@ class WeightedGraph:
 
     def laplacian(self) -> np.ndarray:
         """Graph Laplacian: degrees on the diagonal, negated weights elsewhere."""
-        lap = -self.weights.copy()
+        lap = np.negative(self.weights)
         np.fill_diagonal(lap, self.degrees)
         lap.setflags(write=False)
         return lap
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(i, j, weight)`` with ``i < j`` for every positive-weight edge."""
-        idx_i, idx_j = np.nonzero(np.triu(self.weights, 1))
-        for i, j in zip(idx_i.tolist(), idx_j.tolist()):
-            yield i, j, float(self.weights[i, j])
+        # row by row, so no temporary grows with n^2 or with the edge count
+        for i, row in enumerate(self.weights):
+            for j in (np.flatnonzero(row[i + 1:]) + (i + 1)).tolist():
+                yield i, j, float(row[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +162,8 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     whitespace, and a label left empty is an error. Repeated pairs, in either
     order, have their weights summed. Self-loop lines are dropped with a
     warning, though their vertex is kept. Vertices are indexed by first
-    appearance.
+    appearance. A graph of more than :data:`MAX_VERTICES` vertices is
+    refused with a :class:`UsageError` before its weight matrix is allocated.
 
     Args:
         source: path, or an open text/binary stream of UTF-8 content.
@@ -178,7 +188,7 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
                 weight = float(parts[2])
             except ValueError:
                 raise ParseError(f"unparseable weight {parts[2]!r}", lineno) from None
-            if not np.isfinite(weight):
+            if not math.isfinite(weight):
                 raise ParseError(f"weight must be finite, got {parts[2]!r}", lineno)
             if weight < 0:
                 raise ParseError(f"negative weight {weight!r}", lineno)
@@ -203,10 +213,16 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     if not index:
         raise ParseError("empty input: no edges or vertices found")
     n = len(index)
+    if n > MAX_VERTICES:
+        raise UsageError(
+            f"graph has {n} vertices, above the limit of {MAX_VERTICES}; "
+            f"one dense n x n array would take {8 * n * n:,} bytes")
     w = np.zeros((n, n), dtype=np.float64)
-    for (i, j), weight in pair_weights.items():
-        w[i, j] = weight
-        w[j, i] = weight
+    rows, cols = np.array(list(pair_weights), dtype=np.intp).reshape(-1, 2).T
+    weights = np.fromiter(pair_weights.values(), dtype=np.float64,
+                          count=len(pair_weights))
+    w[rows, cols] = weights
+    w[cols, rows] = weights
     labels = tuple(sorted(index, key=index.__getitem__))
     return WeightedGraph(labels, w)
 

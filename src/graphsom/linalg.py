@@ -30,18 +30,29 @@ _SYMMETRY_RTOL = 1e-12
 
 
 def _checked_symmetric(m, what: str) -> np.ndarray:
-    """Validate and exactly symmetrize a square matrix."""
-    a = np.array(m, dtype=np.float64)
+    """Validate a square matrix and return it exactly symmetric.
+
+    A float64 array that is already symmetric bit for bit comes back as is,
+    not copied; any other input comes back as the fresh array (a + a.T) / 2.
+    """
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError(f"{what} must have order >= 1")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
+    bits = a.view(np.int64)
+    if (bits == bits.T).all():
+        return a
+    scale = max(float(a.max()), float(-a.min()), 1.0)
+    gap = a - a.T
+    if np.abs(gap, out=gap).max() > _SYMMETRY_RTOL * scale:
         raise ValueError(f"{what} is not symmetric")
-    return (a + a.T) / 2.0
+    del gap
+    s = a + a.T
+    s /= 2.0
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +87,13 @@ class EigenDecomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # argmax returns the first occurrence, which is the tie rule we want
-    lead = np.argmax(np.abs(vectors), axis=0)
+    # argmax returns the first occurrence, which is the tie rule we want; it
+    # runs along contiguous rows of |v^T|, so it makes no copy of its own
+    lead = np.argmax(np.abs(vectors.T, order="C"), axis=1)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return vectors
 
 
 def eigendecompose_symmetric(m) -> EigenDecomposition:
@@ -115,7 +128,13 @@ class KernelMatrix:
     beta: float | None = None
 
     def __post_init__(self):
-        a = _checked_symmetric(self.matrix, "kernel matrix")
+        src = self.matrix
+        a = _checked_symmetric(src, "kernel matrix")
+        # a list or tuple always converts into fresh memory; an array or other
+        # buffer may come back as is, and the caller's memory is never frozen
+        # or aliased
+        if not isinstance(src, (list, tuple)) and np.may_share_memory(a, src):
+            a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         if self.beta is not None:
@@ -215,7 +234,9 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     decomp = eigendecompose_symmetric(laplacian)
     damped = np.exp(-b * decomp.eigenvalues)
     v = decomp.eigenvectors
-    return KernelMatrix((v * damped) @ v.T, beta=b)
+    k = (v * damped) @ v.T
+    del decomp, v  # so the kernel is symmetrized without the eigenvectors
+    return KernelMatrix(k, beta=b)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:

@@ -8,6 +8,7 @@ order, which makes repeated runs byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -18,9 +19,7 @@ import numpy as np
 from .cluster import kernel_kmeans, partition_stats, q_modularity, spectral_clustering
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
-from .layout import Rect, constrained_full_layout, force_directed_layout, som_map_scene
 from .linalg import heat_kernel
-from .render import export_dot, render_svg
 from .som import SomGrid, SomModel, UMatrix, batch_kernel_som, default_radius, \
     som_partition, spectral_som
 
@@ -61,8 +60,6 @@ DEFAULT_EPOCHS = 100
 DEFAULT_RESTARTS = 10
 SUMMARY_ITERATIONS = 500
 FULL_ITERATIONS = 1000
-
-_SUMMARY_FRAME = Rect(0.0, 0.0, 800.0, 800.0)
 
 # which optional knobs make sense for each method; anything else is a typo
 _METHOD_KNOBS = {
@@ -422,7 +419,7 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
             except ValueError:
                 raise ParseError(f"numeric key {key!r} has non-numeric "
                                  f"value {raw!r}", lineno) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"numeric key {key!r} has non-finite "
                                  f"value {raw!r}", lineno)
         else:
@@ -516,6 +513,11 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
     draws every vertex inside its unit's cell. ``map`` and ``full`` need a
     document with a model block. Returns the scene that was rendered.
     """
+    # only layout draws, so only it imports the drawing modules
+    from .layout import Rect, constrained_full_layout, force_directed_layout, \
+        som_map_scene
+    from .render import export_dot, render_svg
+
     if mode not in ("summary", "map", "full"):
         raise UsageError(f"unknown mode {mode!r}; expected summary, map, or full")
     if (partition_path is None) == (model_path is None):
@@ -534,7 +536,7 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         dot_subject = summary_graph(g, part)
         scene = force_directed_layout(
             dot_subject, SUMMARY_ITERATIONS if iterations is None else iterations,
-            _SUMMARY_FRAME, seed)
+            Rect(0.0, 0.0, 800.0, 800.0), seed)
     else:
         model = model_from_document(doc)
         units = dict(zip(doc["assignment"], model.assignment))

@@ -156,6 +156,17 @@ class TestExitCodes:
                      "--seed", "0", "--out", str(tmp_path / "p.json")])
         assert code == 4
 
+    def test_graph_above_vertex_limit(self, tmp_path, graph_file, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 7)
+        code = cluster_spectral(graph_file, tmp_path / "p.json",
+                                report=tmp_path / "r.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphsom: graph has 8 vertices")
+        assert "limit of 7" in err and "512 bytes" in err
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["cluster", "--help"]) == 0
@@ -632,6 +643,19 @@ class TestStatsCommand:
         assert main(["stats", "--input", other,
                      "--partition", str(out)]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_drawing_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, graphsom.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('graphsom')))"],
+        env=package_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "graphsom.cli" in loaded and "graphsom.pipeline" in loaded
+    assert "graphsom.layout" not in loaded
+    assert "graphsom.render" not in loaded
 
 
 class TestParserShape:

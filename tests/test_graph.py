@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from graphsom import ParseError, Partition, WeightedGraph, load_edge_list, summary_graph
+from graphsom import ParseError, Partition, UsageError, WeightedGraph, load_edge_list, \
+    summary_graph
 from graphgen import complete_graph, path_graph, random_graph, two_cliques
 
 
@@ -144,6 +145,25 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="finite"):
             self.load("a\tb\tinf\n")
 
+    def test_matches_pair_loop_reference(self):
+        rng = np.random.default_rng(5)
+        lines, ref = [], {}
+        for _ in range(300):
+            a, b = (int(x) for x in rng.integers(0, 40, 2))
+            if a == b:
+                continue
+            weight = float(rng.uniform(0.1, 5.0))
+            lines.append(f"v{a}\tv{b}\t{weight!r}")
+            key = (min(a, b), max(a, b))
+            ref[key] = ref.get(key, 0.0) + weight
+        g = self.load("\n".join(lines) + "\n")
+        expected = np.zeros((g.num_vertices, g.num_vertices))
+        index = {label: i for i, label in enumerate(g.labels)}
+        for (a, b), weight in ref.items():
+            i, j = index[f"v{a}"], index[f"v{b}"]
+            expected[i, j] = expected[j, i] = weight
+        assert g.weights.tobytes() == expected.tobytes()
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty"):
             self.load("# nothing here\n")
@@ -180,6 +200,25 @@ class TestLoadEdgeList:
             g = self.load("a \ta\na\tb\n")
         assert g.labels == ("a", "b")
         assert g.num_edges == 1
+
+class TestVertexLimit:
+    def test_refused_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 3)
+        with pytest.raises(UsageError) as info:
+            load_edge_list(io.StringIO("a\tb\nc\td\n"))
+        message = str(info.value)
+        assert "4 vertices" in message and "limit of 3" in message
+        assert "128 bytes" in message  # one 4 x 4 float64 array
+
+    def test_accepted_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 4)
+        assert load_edge_list(io.StringIO("a\tb\nc\td\n")).num_vertices == 4
+
+    def test_parse_errors_keep_their_line(self, monkeypatch):
+        monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 1)
+        with pytest.raises(ParseError, match="line 3: weight must be finite"):
+            load_edge_list(io.StringIO("a\tb\n# note\nb\tc\tnan\n"))
+
 
 class TestSummaryGraph:
     def test_two_cliques_with_bridge(self):
