@@ -1,7 +1,7 @@
 """Command-line front end: cluster, attrs, layout, stats.
 
-Exit codes: 0 success, 1 output write failure, 2 usage or validation error,
-3 unreadable or malformed input, 4 numerical failure.
+Exit codes, set by the error's type: 0 success, 1 write failure or internal
+error, 2 usage or validation error, 3 bad input file, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def _radius_arg(text: str) -> tuple[float, float]:
             f"expected START,END like 3.5,0.5, got {text!r}") from None
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsom",
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="neighborhood radius schedule (som methods)")
     cluster.add_argument("--restarts", type=int,
                          help="k-means restarts (default 10)")
-    cluster.add_argument("--seed", type=int, required=True)
+    cluster.add_argument("--seed", type=_seed_arg, required=True)
     cluster.add_argument("--out", required=True,
                          help="where to write the partition document")
     cluster.add_argument("--report",
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--dot", help="also export DOT here")
     layout.add_argument("--iterations", type=int,
                         help="force iterations (default 500 summary, 1000 full)")
-    layout.add_argument("--seed", type=int, required=True)
+    layout.add_argument("--seed", type=_seed_arg, required=True)
 
     stats = sub.add_parser(
         "stats", help="print the statistics report for a stored partition")
@@ -136,18 +146,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, UsageError, NumericalError, OSError) as exc:
         print(f"graphsom: {exc}", file=sys.stderr)
-        return 3
-    except (UsageError, ValueError) as exc:
-        print(f"graphsom: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"graphsom: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"graphsom: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
     return 0
 
 

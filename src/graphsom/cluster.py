@@ -10,11 +10,12 @@ reproduces kmeans(X) partition for partition; the tests lean on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Partition, WeightedGraph
+from .errors import UsageError
+from .graph import Partition, WeightedGraph, _cluster_blocks, _onehot
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
 __all__ = [
@@ -46,15 +47,6 @@ class KMeansResult:
     energy_trace: np.ndarray
     restarts_used: int
     iterations: int
-
-    def __post_init__(self):
-        trace = np.array(self.energy_trace, dtype=np.float64)
-        trace.setflags(write=False)
-        object.__setattr__(self, "energy_trace", trace)
-        if self.centers is not None:
-            c = np.array(self.centers, dtype=np.float64)
-            c.setflags(write=False)
-            object.__setattr__(self, "centers", c)
 
 
 @dataclass(frozen=True)
@@ -117,12 +109,6 @@ def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
     return assign
 
 
-def _onehot(assign: np.ndarray, k: int) -> np.ndarray:
-    z = np.zeros((assign.size, k), dtype=np.float64)
-    z[np.arange(assign.size), assign] = 1.0
-    return z
-
-
 def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
     """One seeded Lloyd run: assignment, k x n mean weights, energy trace."""
     n = space.n
@@ -153,9 +139,9 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
 def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
     """Minimum-energy restart; earlier restarts win ties."""
     if not 1 <= k <= space.n:
-        raise ValueError(f"k must be in 1..{space.n}, got {k}")
+        raise UsageError(f"k must be in 1..{space.n}, got {k}")
     if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+        raise UsageError(f"restarts must be >= 1, got {restarts}")
     best = None
     for rng in _spawned_rngs(seed, restarts):
         run = _lloyd(space, k, rng)
@@ -204,21 +190,12 @@ def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
     """k-means on the rows of the p lowest-eigenvalue Laplacian eigenvectors."""
     # checked before the eigensolve, which would first reject a p defaulted to k
     if not 1 <= k <= g.num_vertices:
-        raise ValueError(f"k must be in 1..{g.num_vertices}, got {k}")
+        raise UsageError(f"k must be in 1..{g.num_vertices}, got {k}")
     coords = spectral_embedding(g.laplacian(), p)
     result = kmeans(coords, k, seed, restarts)
     partition = Partition(result.partition.assignment, k, "spectral",
                           {"p": p, "k": k, "seed": seed, "restarts": restarts})
-    return KMeansResult(partition, result.centers, result.within_energy,
-                        result.energy_trace, result.restarts_used,
-                        result.iterations)
-
-
-def _cluster_weight_blocks(g: WeightedGraph, p: Partition,
-                           weighted: bool) -> np.ndarray:
-    w = g.weights if weighted else (g.weights > 0).astype(np.float64)
-    z = _onehot(p.assignment, p.k)
-    return z.T @ w @ z
+    return replace(result, partition=partition)
 
 
 def q_modularity(g: WeightedGraph, p: Partition, *, weighted: bool = True) -> float:
@@ -230,10 +207,7 @@ def q_modularity(g: WeightedGraph, p: Partition, *, weighted: bool = True) -> fl
     when clusters cut more weight than they keep. With ``weighted=False``
     every edge counts 1 regardless of weight.
     """
-    if p.num_vertices != g.num_vertices:
-        raise ValueError(f"partition covers {p.num_vertices} vertices, "
-                         f"graph has {g.num_vertices}")
-    block = _cluster_weight_blocks(g, p, weighted)
+    block = _cluster_blocks(g, p, weighted)
     double_total = float(block.sum())  # every edge counted twice
     if double_total <= 0.0:
         raise ValueError("q-modularity is undefined for an edgeless graph")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI exit code."""
 
 __all__ = ["ParseError", "NumericalError", "UsageError"]
 
@@ -8,6 +8,8 @@ class ParseError(ValueError):
 
     Carries the 1-based line number of the offending line when known.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
@@ -19,6 +21,10 @@ class ParseError(ValueError):
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result."""
 
+    exit_code = 4
+
 
 class UsageError(ValueError):
-    """A command-line invocation is inconsistent (bad flag combination, bad mode)."""
+    """A bad flag combination or mode, or a parameter value out of range."""
+
+    exit_code = 2

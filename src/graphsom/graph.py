@@ -212,6 +212,9 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
 
     if not index:
         raise ParseError("empty input: no edges or vertices found")
+    # q-modularity sums every edge twice; that sum must stay a finite float
+    if not math.isfinite(2.0 * sum(pair_weights.values())):
+        raise ParseError("edge weights too large: twice their sum overflows a float")
     n = len(index)
     if n > MAX_VERTICES:
         raise UsageError(
@@ -283,6 +286,23 @@ class ClusterSummaryGraph:
         return sum(node.vertex_count for node in self.nodes)
 
 
+def _onehot(assign: np.ndarray, k: int) -> np.ndarray:
+    z = np.zeros((assign.size, k), dtype=np.float64)
+    z[np.arange(assign.size), assign] = 1.0
+    return z
+
+
+def _cluster_blocks(g: WeightedGraph, p: Partition,
+                    weighted: bool = True) -> np.ndarray:
+    """Entry (c, c') sums w[i, j] over i in c, j in c'; 1 per edge if not weighted."""
+    if p.num_vertices != g.num_vertices:
+        raise ValueError(f"partition covers {p.num_vertices} vertices, "
+                         f"graph has {g.num_vertices}")
+    w = g.weights if weighted else (g.weights > 0).astype(np.float64)
+    z = _onehot(p.assignment, p.k)
+    return z.T @ w @ z
+
+
 def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
     """Collapse a partitioned graph to one node per cluster.
 
@@ -290,19 +310,13 @@ def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
     ``c``; an edge joins clusters ``c != c'`` with the summed weight of all
     crossing edges, omitted when that sum is zero.
     """
-    if p.num_vertices != g.num_vertices:
-        raise ValueError(f"partition covers {p.num_vertices} vertices, "
-                         f"graph has {g.num_vertices}")
-    k = p.k
-    onehot = np.zeros((g.num_vertices, k), dtype=np.float64)
-    onehot[np.arange(g.num_vertices), p.assignment] = 1.0
-    block = onehot.T @ g.weights @ onehot  # block[c, c'] sums w[i, j] over i in c, j in c'
+    block = _cluster_blocks(g, p)
     sizes = p.sizes()
     nodes = tuple(SummaryNode(c, int(sizes[c]), float(block[c, c]) / 2.0)
-                  for c in range(k))
+                  for c in range(p.k))
     edges = []
-    for a in range(k):
-        for b in range(a + 1, k):
+    for a in range(p.k):
+        for b in range(a + 1, p.k):
             if block[a, b] > 0:
                 edges.append(SummaryEdge(a, b, float(block[a, b])))
     return ClusterSummaryGraph(nodes, tuple(edges))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .graph import ClusterSummaryGraph, WeightedGraph
 from .som import SomModel, som_partition
 
@@ -293,7 +294,7 @@ def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
     function of (sg, iterations, frame, seed).
     """
     if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
+        raise UsageError(f"iterations must be at least 1, got {iterations}")
     if frame.width <= 0 or frame.height <= 0:
         raise ValueError("frame must have positive width and height")
     nodes = sg.nodes
@@ -380,7 +381,7 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
     their endpoints toward the shared border. Deterministic under ``seed``.
     """
     if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
+        raise UsageError(f"iterations must be at least 1, got {iterations}")
     if model.num_vertices != g.num_vertices:
         raise ValueError(
             f"map was trained on {model.num_vertices} vertices, "

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 
 __all__ = [
     "EigenDecomposition",
@@ -67,19 +67,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        vecs = np.array(self.eigenvectors, dtype=np.float64)
-        n = vals.size
-        if vals.ndim != 1 or vecs.shape != (n, n):
-            raise ValueError("eigenvalues must be length n, eigenvectors n x n")
-        if n > 1 and (np.diff(vals) < 0).any():
-            raise ValueError("eigenvalues must be sorted ascending")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def order(self) -> int:
@@ -227,12 +214,15 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     """
     b = float(beta)
     if not np.isfinite(b) or b < 0:
-        raise ValueError(f"beta must be a finite nonnegative real, got {beta!r}")
+        raise UsageError(f"beta must be a finite nonnegative real, got {beta!r}")
     if b == 0.0:
         lap = _checked_symmetric(laplacian, "laplacian")
         return KernelMatrix(np.eye(lap.shape[0]), beta=0.0)
     decomp = eigendecompose_symmetric(laplacian)
-    damped = np.exp(-b * decomp.eigenvalues)
+    with np.errstate(over="ignore"):
+        damped = np.exp(-b * decomp.eigenvalues)
+    if not np.isfinite(damped).all():
+        raise UsageError(f"beta {beta!r} is too large: exp(-beta * lambda) overflows")
     v = decomp.eigenvectors
     k = (v * damped) @ v.T
     del decomp, v  # so the kernel is symmetrized without the eigenvectors
@@ -248,7 +238,7 @@ def spectral_embedding(laplacian, p: int) -> np.ndarray:
     decomp = eigendecompose_symmetric(laplacian)
     n = decomp.order
     if not 1 <= p <= n:
-        raise ValueError(f"p must be in 1..{n}, got {p}")
+        raise UsageError(f"p must be in 1..{n}, got {p}")
     return decomp.eigenvectors[:, :p].copy()
 
 
@@ -260,9 +250,8 @@ def kernel_feature_coordinates(kernel) -> np.ndarray:
     the ascending eigenvalue order; negative eigenvalues within the PSD
     tolerance are clamped to zero before the square root.
     """
-    k = kernel.matrix if isinstance(kernel, KernelMatrix) else \
-        _checked_symmetric(kernel, "kernel matrix")
-    decomp = eigendecompose_symmetric(k)
+    decomp = eigendecompose_symmetric(
+        kernel.matrix if isinstance(kernel, KernelMatrix) else kernel)
     vals = decomp.eigenvalues
     largest = float(vals[-1])
     if float(vals[0]) < -1e-8 * max(largest, 0.0):

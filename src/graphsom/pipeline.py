@@ -197,8 +197,8 @@ def read_document(path) -> dict:
 
 
 def load_partition_document(path) -> dict:
-    """Read a partition document; ids, ``num_clusters`` and ``params`` are
-    checked here, once, for every command that reads one."""
+    """Read a partition document; ids, ``num_clusters``, ``method`` and
+    ``params`` are checked here, once, for every command that reads one."""
     doc = read_document(path)
     if doc.get("schema") != PARTITION_SCHEMA:
         raise ParseError(
@@ -214,6 +214,8 @@ def load_partition_document(path) -> dict:
     if not isinstance(k, int) or isinstance(k, bool) or k <= max(table.values()):
         raise ParseError(f"num_clusters must be an integer above every "
                          f"cluster id, got {k!r}")
+    if not isinstance(doc.get("method", ""), str):
+        raise ParseError(f"partition method must be a string, got {doc['method']!r}")
     if not isinstance(doc.get("params", {}), dict):
         raise ParseError("partition params must be a JSON object")
     return doc
@@ -442,7 +444,8 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
     Numeric keys get the mean and population standard deviation over the
     cluster members that carry the key; categorical keys get a frequency
     distribution sorted by descending count. Members without a key are
-    excluded and counted as missing.
+    excluded and counted as missing. Values whose mean or standard deviation
+    overflows a float are a :class:`ParseError` naming the key.
     """
     assignment = partition_doc["assignment"]
     unknown = sorted(set(table.records) - set(assignment))
@@ -466,8 +469,12 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
                                         "missing": size - len(vals)}
             if vals:
                 arr = np.array(vals, dtype=np.float64)
-                entry["mean"] = float(arr.mean())
-                entry["std"] = float(arr.std())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    entry["mean"] = float(arr.mean())
+                    entry["std"] = float(arr.std())
+                if not all(map(math.isfinite, (entry["mean"], entry["std"]))):
+                    raise ParseError(f"numeric key {key!r} has values too "
+                                     f"large to summarize in cluster {c}")
             else:
                 entry["mean"] = None
                 entry["std"] = None

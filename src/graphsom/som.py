@@ -27,6 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
+from . import graph
+from .errors import UsageError
 from .graph import Partition, WeightedGraph
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
@@ -51,7 +53,8 @@ class SomGrid:
     """Rectangular lattice of rows x cols units, indexed row-major.
 
     Unit m sits at integer coordinate (m // cols, m % cols); distances between
-    units are Euclidean on those coordinates.
+    units are Euclidean on those coordinates. Training holds M x M and M x n
+    arrays, so a grid may have at most ``graph.MAX_VERTICES`` units.
     """
 
     rows: int
@@ -59,7 +62,10 @@ class SomGrid:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+            raise UsageError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        if self.num_units > graph.MAX_VERTICES:
+            raise UsageError(f"grid {self.rows}x{self.cols} has {self.num_units} "
+                             f"units, above the limit of {graph.MAX_VERTICES}")
 
     @property
     def num_units(self) -> int:
@@ -85,7 +91,9 @@ class SomGrid:
         """Gaussian neighborhood weights h(d) = exp(-d^2 / (2 sigma^2))."""
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        return np.exp(-self.distance_matrix ** 2 / (2.0 * sigma * sigma))
+        # at a tiny sigma far units get exp(-inf) = 0, their limit
+        with np.errstate(over="ignore"):
+            return np.exp(-self.distance_matrix ** 2 / (2.0 * sigma * sigma))
 
     def normalized_neighborhood(self, sigma: float) -> np.ndarray:
         """Neighborhood with each unit's row scaled to sum 1.
@@ -160,10 +168,9 @@ def default_radius(grid: SomGrid) -> tuple[float, float]:
 
 def _check_radius(radius) -> tuple[float, float]:
     start, end = float(radius[0]), float(radius[1])
-    if not (np.isfinite(start) and np.isfinite(end)):
-        raise ValueError("radius endpoints must be finite")
-    if not start >= end > 0:
-        raise ValueError(f"radius must satisfy start >= end > 0, got ({start}, {end})")
+    if not (np.isfinite(start) and start >= end > 0 and 2.0 * end * end > 0):
+        raise UsageError(f"radius must be finite with start >= end > 0 and "
+                         f"2 * end^2 > 0, got ({start!r}, {end!r})")
     return start, end
 
 
@@ -199,7 +206,7 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int,
            method: str, **params) -> SomModel:
     """Shared batch-SOM loop over either view of the vertices."""
     if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
     if radius is None:
         radius = default_radius(grid)
     start, end = _check_radius(radius)

@@ -13,7 +13,7 @@ from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
 from graphsom.graph import load_edge_list
 from graphsom.layout import CELL_SIDE
-from graphsom.linalg import heat_kernel
+from graphsom.linalg import eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import document_bytes
 from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import random_graph
@@ -231,6 +231,141 @@ class TestOutOfRangeValues:
         assert code == 2
         assert capsys.readouterr().err.startswith("graphsom: ")
         assert sorted(os.listdir(tmp_path)) == ["g.tsv", "som.json"]
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _seed_cluster(tmp_path):
+    graph = clique_file(tmp_path / "g.tsv")
+    return ["cluster", "--input", graph, "--method", "spectral", "--k", "2",
+            "--seed", "-1", "--out", str(tmp_path / "p.json")]
+
+
+def _seed_layout(tmp_path):
+    # argparse refuses the seed before any file is opened
+    return ["layout", "--mode", "summary", "--input", str(tmp_path / "g.tsv"),
+            "--partition", str(tmp_path / "d.json"),
+            "--svg", str(tmp_path / "x.svg"), "--seed", "-1"]
+
+
+def _cluster_on(graph, tmp_path, *knobs):
+    return ["cluster", "--input", graph, *knobs, "--seed", "0",
+            "--out", str(tmp_path / "p.json"),
+            "--report", str(tmp_path / "r.json")]
+
+
+def _summed_weights_overflow(tmp_path):
+    graph = _write(tmp_path / "g.tsv", "a\tb\t1e308\nb\tc\t1e308\n")
+    return _cluster_on(graph, tmp_path, "--method", "spectral", "--k", "2")
+
+
+def _pair_twice_overflows(tmp_path):
+    graph = _write(tmp_path / "g.tsv", "a\tb\t1e308\nb\ta\t1e308\n")
+    return _cluster_on(graph, tmp_path, "--method", "spectral", "--k", "1")
+
+
+def _beta_overflows(tmp_path):
+    graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
+    lowest = eigendecompose_symmetric(
+        load_edge_list(graph).laplacian()).eigenvalues[0]
+    if lowest >= 0:
+        pytest.skip("this LAPACK puts the lowest eigenvalue at or above 0, "
+                    "so exp(-beta * lambda) cannot overflow")
+    return _cluster_on(graph, tmp_path, "--method", "kernel-kmeans",
+                       "--k", "2", "--beta", "1e20")
+
+
+def _radius_underflows(tmp_path):
+    return _cluster_on(clique_file(tmp_path / "g.tsv"), tmp_path,
+                       "--method", "kernel-som", "--grid", "2x2",
+                       "--radius", "1e-320,1e-320")
+
+
+def _method_not_a_string(tmp_path):
+    graph = clique_file(tmp_path / "g.tsv")
+    doc = _write(tmp_path / "d.json", json.dumps(
+        {"schema": "graphsom/partition", "method": float("nan"),
+         "assignment": {f"n{i}": i // 4 for i in range(8)}}))
+    return ["stats", "--input", graph, "--partition", doc]
+
+
+def _attribute_sum_overflows(tmp_path):
+    doc = _write(tmp_path / "d.json", json.dumps(
+        {"schema": "graphsom/partition", "assignment": {"a": 0, "b": 0}}))
+    table = _write(tmp_path / "t.tsv", "!schema\tscore:numeric\n"
+                   "a\tscore\t1e308\nb\tscore\t1e308\n")
+    return ["attrs", "--partition", doc, "--attributes", table,
+            "--out", str(tmp_path / "s.json")]
+
+
+def _grid_above_limit(tmp_path):
+    # the limit is lowered to 8, the clique graph's vertex count
+    return _cluster_on(clique_file(tmp_path / "g.tsv"), tmp_path,
+                       "--method", "kernel-som", "--grid", "3x3")
+
+
+def _document_grid_above_limit(tmp_path):
+    graph = clique_file(tmp_path / "g.tsv")
+    doc = {"schema": "graphsom/partition",
+           "assignment": {f"n{i}": 0 for i in range(8)},
+           "model": {"grid": {"rows": 3, "cols": 3}, "energy_trace": [0.0],
+                     "assignment": [0] * 8}}
+    return ["layout", "--mode", "full", "--input", graph,
+            "--model", _write(tmp_path / "d.json", json.dumps(doc)),
+            "--svg", str(tmp_path / "x.svg"), "--seed", "0"]
+
+
+# each input stops where it enters: the exit code of its error type, a
+# message naming the bad value or key, no traceback or numpy warning
+BOUNDARY_CASES = [
+    ("cluster seed -1", _seed_cluster, 2, "argument --seed: must be >= 0"),
+    ("layout seed -1", _seed_layout, 2, "argument --seed: must be >= 0"),
+    ("summed weights overflow", _summed_weights_overflow, 3,
+     "edge weights too large"),
+    ("pair listed twice overflows", _pair_twice_overflows, 3,
+     "edge weights too large"),
+    ("beta overflows the kernel", _beta_overflows, 2, "beta 1e+20"),
+    ("radius underflows", _radius_underflows, 2,
+     "radius must be finite with start >= end > 0 and 2 * end^2 > 0, "
+     "got (1e-320, 1e-320)"),
+    ("method not a string", _method_not_a_string, 3,
+     "method must be a string, got nan"),
+    ("attribute sum overflows", _attribute_sum_overflows, 3,
+     "numeric key 'score'"),
+    ("grid above the unit limit", _grid_above_limit, 2,
+     "grid 3x3 has 9 units, above the limit of 8"),
+    ("document grid above the unit limit", _document_grid_above_limit, 3,
+     "grid 3x3 has 9 units, above the limit of 8"),
+]
+
+
+@pytest.mark.parametrize("build, code, needle",
+                         [case[1:] for case in BOUNDARY_CASES],
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_bad_input_stops_at_the_boundary(tmp_path, capsys, monkeypatch,
+                                         build, code, needle):
+    monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 8)
+    argv = build(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+def test_internal_error_is_not_a_usage_error(tmp_path, graph_file,
+                                             monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal invariant failed")
+
+    monkeypatch.setattr("graphsom.pipeline.report_document", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        cluster_spectral(graph_file, tmp_path / "p.json", tmp_path / "r.json")
+    assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
 
 
 class TestEdgeListLabels:

@@ -3,7 +3,6 @@ import pytest
 
 from graphsom import NumericalError
 from graphsom.linalg import (
-    EigenDecomposition,
     KernelMatrix,
     _FeatureSpace,
     eigendecompose_symmetric,
@@ -111,10 +110,6 @@ class TestEigendecomposition:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eigendecompose_symmetric(np.zeros((2, 3)))
-
-    def test_type_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="ascending"):
-            EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
 
 
 class TestHeatKernel:

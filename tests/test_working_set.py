@@ -47,9 +47,9 @@ def warm_up():
 
 
 class TestTracedPeak:
-    # Measured at n=300: the eigensolve holds its eigenvectors, |V| for the
-    # sign rule and the frozen copy (2.1 arrays; 4.0 when it copied and
-    # averaged an exactly symmetric input); the heat kernel holds V, V*d and
+    # Measured at n=300: the eigensolve holds its eigenvectors and |V| for
+    # the sign rule (2.1 arrays; 4.0 when it copied and averaged an exactly
+    # symmetric input); the heat kernel holds V, V*d and
     # K (3.0; 5.0 when it kept the decomposition and copied K twice). A
     # kernel built from nested lists holds the one converted array (1.2;
     # 3.0 when it converted, then averaged). The edge list of a sparse graph
