@@ -208,6 +208,7 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     Computed through the full eigendecomposition, which validates L, by
     exponentiating the spectrum; :class:`KernelMatrix` symmetrizes the
     result. At beta = 0 the kernel is the identity and no eigensolve runs.
+    A beta that zeroes every mode above L's null space raises UsageError.
     Because L annihilates the constant vector, every row of the result sums
     to 1; because the exponentiated spectrum is positive, the result is
     positive semi-definite by construction.
@@ -219,10 +220,16 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
         lap = _checked_symmetric(laplacian, "laplacian")
         return KernelMatrix(np.eye(lap.shape[0]), beta=0.0)
     decomp = eigendecompose_symmetric(laplacian)
+    lam = decomp.eigenvalues
     with np.errstate(over="ignore"):
-        damped = np.exp(-b * decomp.eigenvalues)
-    if not np.isfinite(damped).all():
-        raise UsageError(f"beta {beta!r} is too large: exp(-beta * lambda) overflows")
+        damped = np.exp(-b * lam)
+    # modes above the rounding noise of the null space, which may be < 0
+    live = lam > lam[-1] * lam.size * np.finfo(np.float64).eps
+    if not np.isfinite(damped).all() or (live.any() and not damped[live].any()):
+        raise UsageError(f"beta {beta!r} is too large for this graph: "
+                         "exp(-beta * lambda) vanishes on every non-null mode "
+                         "of the Laplacian, or overflows on rounding noise "
+                         "in its zero eigenvalues")
     v = decomp.eigenvectors
     k = (v * damped) @ v.T
     del decomp, v  # so the kernel is symmetrized without the eigenvectors

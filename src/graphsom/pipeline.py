@@ -16,6 +16,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
+from . import graph
 from .cluster import kernel_kmeans, partition_stats, q_modularity, spectral_clustering
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
@@ -214,6 +215,9 @@ def load_partition_document(path) -> dict:
     if not isinstance(k, int) or isinstance(k, bool) or k <= max(table.values()):
         raise ParseError(f"num_clusters must be an integer above every "
                          f"cluster id, got {k!r}")
+    if k > graph.MAX_VERTICES:  # larger ids overflow int64 or memory
+        raise ParseError(f"partition has {k} clusters (largest id + 1, or "
+                         f"num_clusters), above the limit of {graph.MAX_VERTICES}")
     if not isinstance(doc.get("method", ""), str):
         raise ParseError(f"partition method must be a string, got {doc['method']!r}")
     if not isinstance(doc.get("params", {}), dict):
@@ -540,6 +544,11 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
     part = partition_for_graph(doc, g)
     umatrix = None
     if mode == "summary":
+        # a partition may skip an id, but an empty glyph has no radius
+        empty = np.flatnonzero(part.sizes() == 0)
+        if empty.size:
+            raise UsageError(f"cluster {empty[0]} has no vertices; the summary "
+                             "layout draws every cluster id below num_clusters")
         dot_subject = summary_graph(g, part)
         scene = force_directed_layout(
             dot_subject, SUMMARY_ITERATIONS if iterations is None else iterations,

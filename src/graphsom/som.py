@@ -168,9 +168,10 @@ def default_radius(grid: SomGrid) -> tuple[float, float]:
 
 def _check_radius(radius) -> tuple[float, float]:
     start, end = float(radius[0]), float(radius[1])
-    if not (np.isfinite(start) and start >= end > 0 and 2.0 * end * end > 0):
-        raise UsageError(f"radius must be finite with start >= end > 0 and "
-                         f"2 * end^2 > 0, got ({start!r}, {end!r})")
+    last = start + (end - start)  # the schedule's smallest sigma, maybe 0
+    if not (np.isfinite(start) and start >= end > 0 and 2.0 * last * last > 0):
+        raise UsageError(f"radius must be finite with start >= end > 0 and a "
+                         f"last sigma of 2 * sigma^2 > 0, got ({start!r}, {end!r})")
     return start, end
 
 

@@ -13,7 +13,7 @@ from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
 from graphsom.graph import load_edge_list
 from graphsom.layout import CELL_SIDE
-from graphsom.linalg import eigendecompose_symmetric, heat_kernel
+from graphsom.linalg import heat_kernel
 from graphsom.pipeline import document_bytes
 from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import random_graph
@@ -267,13 +267,16 @@ def _pair_twice_overflows(tmp_path):
     return _cluster_on(graph, tmp_path, "--method", "spectral", "--k", "1")
 
 
-def _beta_overflows(tmp_path):
-    graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
-    lowest = eigendecompose_symmetric(
-        load_edge_list(graph).laplacian()).eigenvalues[0]
-    if lowest >= 0:
-        pytest.skip("this LAPACK puts the lowest eigenvalue at or above 0, "
-                    "so exp(-beta * lambda) cannot overflow")
+def _beta_kills_the_kernel(tmp_path):
+    # exp(-beta * lambda) is 0 on every mode above the null space, or
+    # overflows where a null eigenvalue rounds below 0
+    return _cluster_on(clique_file(tmp_path / "g.tsv", bridge=1.0), tmp_path,
+                       "--method", "kernel-kmeans", "--k", "2",
+                       "--beta", "1e20")
+
+
+def _beta_kills_a_small_kernel(tmp_path):
+    graph = _write(tmp_path / "g.tsv", "a\tb\nb\tc\nc\ta\nc\td\n")
     return _cluster_on(graph, tmp_path, "--method", "kernel-kmeans",
                        "--k", "2", "--beta", "1e20")
 
@@ -282,6 +285,13 @@ def _radius_underflows(tmp_path):
     return _cluster_on(clique_file(tmp_path / "g.tsv"), tmp_path,
                        "--method", "kernel-som", "--grid", "2x2",
                        "--radius", "1e-320,1e-320")
+
+
+def _radius_start_dwarfs_end(tmp_path):
+    # the last epoch's sigma, 1e308 + (1 - 1e308), rounds to 0
+    return _cluster_on(clique_file(tmp_path / "g.tsv"), tmp_path,
+                       "--method", "kernel-som", "--grid", "2x2",
+                       "--radius", "1e308,1")
 
 
 def _method_not_a_string(tmp_path):
@@ -299,6 +309,31 @@ def _attribute_sum_overflows(tmp_path):
                    "a\tscore\t1e308\nb\tscore\t1e308\n")
     return ["attrs", "--partition", doc, "--attributes", table,
             "--out", str(tmp_path / "s.json")]
+
+
+def _summary_of_a_skipped_cluster_id(tmp_path):
+    graph = clique_file(tmp_path / "g.tsv")
+    doc = _write(tmp_path / "d.json", json.dumps(
+        {"schema": "graphsom/partition",
+         "assignment": {f"n{i}": 2 * (i // 4) for i in range(8)}}))
+    return ["layout", "--mode", "summary", "--input", graph,
+            "--partition", doc, "--svg", str(tmp_path / "x.svg"),
+            "--seed", "0"]
+
+
+def _stats_of(tmp_path, doc):
+    return ["stats", "--input", clique_file(tmp_path / "g.tsv"), "--partition",
+            _write(tmp_path / "d.json", json.dumps(doc))]
+
+
+def _cluster_id_overflows(tmp_path):
+    return _stats_of(tmp_path, {"schema": "graphsom/partition",
+                                "assignment": {f"n{i}": 2 ** 70 for i in range(8)}})
+
+
+def _num_clusters_above_limit(tmp_path):
+    return _stats_of(tmp_path, {"schema": "graphsom/partition", "num_clusters": 9,
+                                "assignment": {f"n{i}": 0 for i in range(8)}})
 
 
 def _grid_above_limit(tmp_path):
@@ -327,14 +362,26 @@ BOUNDARY_CASES = [
      "edge weights too large"),
     ("pair listed twice overflows", _pair_twice_overflows, 3,
      "edge weights too large"),
-    ("beta overflows the kernel", _beta_overflows, 2, "beta 1e+20"),
+    ("beta kills the kernel", _beta_kills_the_kernel, 2,
+     "beta 1e+20 is too large for this graph"),
+    ("beta kills a small kernel", _beta_kills_a_small_kernel, 2,
+     "beta 1e+20 is too large for this graph"),
     ("radius underflows", _radius_underflows, 2,
-     "radius must be finite with start >= end > 0 and 2 * end^2 > 0, "
-     "got (1e-320, 1e-320)"),
+     "radius must be finite with start >= end > 0 and a last sigma of "
+     "2 * sigma^2 > 0, got (1e-320, 1e-320)"),
+    ("radius start dwarfs its end", _radius_start_dwarfs_end, 2,
+     "got (1e+308, 1.0)"),
     ("method not a string", _method_not_a_string, 3,
      "method must be a string, got nan"),
     ("attribute sum overflows", _attribute_sum_overflows, 3,
      "numeric key 'score'"),
+    ("summary of a skipped cluster id", _summary_of_a_skipped_cluster_id, 2,
+     "cluster 1 has no vertices"),
+    ("cluster id overflows int64", _cluster_id_overflows, 3,
+     f"partition has {2 ** 70 + 1} clusters"),
+    ("num_clusters above the limit", _num_clusters_above_limit, 3,
+     "partition has 9 clusters (largest id + 1, or num_clusters), "
+     "above the limit of 8"),
     ("grid above the unit limit", _grid_above_limit, 2,
      "grid 3x3 has 9 units, above the limit of 8"),
     ("document grid above the unit limit", _document_grid_above_limit, 3,

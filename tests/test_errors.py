@@ -43,9 +43,13 @@ FLAG_CHECKS = [
     ("epochs", lambda: batch_som(POINTS, GRID, epochs=0)),
     ("iterations", lambda: _summary_layout(0)),
     ("iterations", lambda: _full_layout(0)),
-    # an eigenvalue of -1 makes exp(-beta * lambda) = exp(1000) overflow
-    ("beta", lambda: heat_kernel(np.diag([-1.0, 1.0]), 1000.0)),
+    # exp(-beta * lambda) underflows to 0 on every mode above the null space
+    ("beta", lambda: heat_kernel(GRAPH.laplacian(), 1e20)),
+    ("beta", lambda: heat_kernel(GRAPH.laplacian(), 1e3)),
+    # a null eigenvalue rounded to -1e-17 makes exp(-beta * lambda) overflow
+    ("beta", lambda: heat_kernel(np.diag([-1e-17, 1.0]), 1e20)),
     ("radius", lambda: batch_som(POINTS, GRID, radius=(1e-320, 1e-320))),
+    ("radius", lambda: batch_som(POINTS, GRID, radius=(1e308, 1.0))),
 ]
 
 
@@ -55,6 +59,13 @@ FLAG_CHECKS = [
 def test_flag_range_checks_raise_usage_error(name, call):
     with pytest.raises(UsageError, match=name):
         call()
+
+
+def test_beta_that_keeps_a_mode_above_the_null_space_is_accepted():
+    # exp(-300 * lambda) is 0 on every mode but the weak bridge's, which
+    # still tells the two cliques apart
+    kern = heat_kernel(two_cliques(3, bridge=1e-3).laplacian(), 300.0).matrix
+    assert kern[1, 2] > kern[1, 4] + 0.1
 
 
 def test_tiny_radius_trains_without_warnings():
