@@ -13,7 +13,7 @@ _HOMES = {
     "graph": ("WeightedGraph", "Partition", "SummaryNode", "SummaryEdge",
               "ClusterSummaryGraph", "load_edge_list", "summary_graph"),
     "linalg": ("EigenDecomposition", "KernelMatrix", "eigendecompose_symmetric",
-               "heat_kernel", "spectral_embedding", "kernel_feature_coordinates"),
+               "heat_kernel", "spectral_embedding"),
     "cluster": ("KMeansResult", "PartitionStats", "kmeans", "kernel_kmeans",
                 "spectral_clustering", "q_modularity", "partition_stats"),
     "som": ("SomGrid", "SomModel", "UMatrix", "batch_som", "batch_kernel_som",

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+from dataclasses import fields
 
 from .errors import NumericalError, ParseError, UsageError
 from .pipeline import (
+    _METHOD_KNOBS,
+    LAYOUT_ITERATIONS,
     METHODS,
     RunConfig,
     document_bytes,
@@ -59,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "kernel, with k-means or a self-organizing map, and draw "
                     "the results.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each knob's default; every method that takes a knob gives it the same
+    default = {name: value for knobs in _METHOD_KNOBS.values()
+               for name, value in knobs.items()}
 
     cluster = sub.add_parser(
         "cluster", help="partition a graph and write the result document")
@@ -66,19 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tab-separated edge list")
     cluster.add_argument("--method", required=True, choices=METHODS)
     cluster.add_argument("--k", type=int, help="number of clusters "
-                         "(spectral and kernel-kmeans; default 50)")
+                         f"(spectral and kernel-kmeans; default {default['k']})")
     cluster.add_argument("--p", type=int, help="embedding width (spectral "
                          "methods; defaults to k, or to the unit count)")
     cluster.add_argument("--beta", type=float, help="heat kernel diffusion "
-                         "time (kernel methods; default 0.05)")
+                         f"time (kernel methods; default {default['beta']})")
     cluster.add_argument("--grid", type=_grid_arg, metavar="RxC",
                          help="map size, required for som methods")
-    cluster.add_argument("--epochs", type=int,
-                         help="training epochs (som methods; default 100)")
+    cluster.add_argument("--epochs", type=int, help="training epochs "
+                         f"(som methods; default {default['epochs']})")
     cluster.add_argument("--radius", type=_radius_arg, metavar="START,END",
                          help="neighborhood radius schedule (som methods)")
-    cluster.add_argument("--restarts", type=int,
-                         help="k-means restarts (default 10)")
+    cluster.add_argument("--restarts", type=int, help="k-means restarts "
+                         f"(default {default['restarts']})")
     cluster.add_argument("--seed", type=_seed_arg, required=True)
     cluster.add_argument("--out", required=True,
                          help="where to write the partition document")
@@ -95,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where to write the summary document")
 
     layout = sub.add_parser("layout", help="render a partition or map as SVG")
-    layout.add_argument("--mode", required=True,
-                        choices=("summary", "map", "full"))
+    layout.add_argument("--mode", required=True, choices=tuple(LAYOUT_ITERATIONS))
     layout.add_argument("--input", required=True,
                         help="tab-separated edge list")
     source = layout.add_mutually_exclusive_group(required=True)
@@ -105,8 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "block (required for map and full modes)")
     layout.add_argument("--svg", required=True, help="output SVG path")
     layout.add_argument("--dot", help="also export DOT here")
+    iterations = ", ".join(f"{n} {mode}" for mode, n in LAYOUT_ITERATIONS.items()
+                           if n is not None)
     layout.add_argument("--iterations", type=int,
-                        help="force iterations (default 500 summary, 1000 full)")
+                        help=f"force iterations (default {iterations})")
     layout.add_argument("--seed", type=_seed_arg, required=True)
 
     stats = sub.add_parser(
@@ -118,14 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_):
+    # one line per warning, without the library's file name and source line
+    print(f"graphsom: warning: {message}", file=sys.stderr)
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "cluster":
-        config = RunConfig(input=args.input, method=args.method,
-                           seed=args.seed, out=args.out, report=args.report,
-                           k=args.k, p=args.p, beta=args.beta, grid=args.grid,
-                           epochs=args.epochs, radius=args.radius,
-                           restarts=args.restarts)
-        run_cluster(config)
+        run_cluster(RunConfig(**{f.name: getattr(args, f.name)
+                                 for f in fields(RunConfig)}))
     elif args.command == "attrs":
         run_attribute_summary(args.partition, args.attributes, args.out)
     elif args.command == "layout":
@@ -145,7 +154,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        _dispatch(args)
+        with warnings.catch_warnings():
+            # the library's own warnings, such as a dropped self-loop, are
+            # part of the command's output: each one is shown
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _show_warning
+            _dispatch(args)
     except (ParseError, UsageError, NumericalError, OSError) as exc:
         print(f"graphsom: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)

@@ -69,9 +69,6 @@ class WeightedGraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
@@ -263,10 +260,6 @@ class ClusterSummaryGraph:
     @property
     def num_clusters(self) -> int:
         return len(self.nodes)
-
-    @property
-    def num_vertices(self) -> int:
-        return sum(node.vertex_count for node in self.nodes)
 
 
 def _onehot(assign: np.ndarray, k: int) -> np.ndarray:

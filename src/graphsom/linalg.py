@@ -22,7 +22,6 @@ __all__ = [
     "eigendecompose_symmetric",
     "heat_kernel",
     "spectral_embedding",
-    "kernel_feature_coordinates",
 ]
 
 # relative asymmetry accepted before a matrix is rejected as non-symmetric
@@ -107,8 +106,7 @@ class KernelMatrix:
     """Symmetric similarity matrix, optionally tagged with the beta it came from.
 
     Positive semi-definiteness is a property of how the matrix was built (exact
-    for heat kernels, near-exact for Gram matrices) and is checked where it
-    matters, in :func:`kernel_feature_coordinates`, not at construction.
+    for heat kernels, near-exact for Gram matrices) and is not checked.
     """
 
     matrix: np.ndarray
@@ -247,22 +245,3 @@ def spectral_embedding(laplacian, p: int) -> np.ndarray:
     if not 1 <= p <= n:
         raise UsageError(f"p must be in 1..{n}, got {p}")
     return decomp.eigenvectors[:, :p].copy()
-
-
-def kernel_feature_coordinates(kernel) -> np.ndarray:
-    """Explicit coordinates X with X X^T equal to the kernel matrix.
-
-    Realizes the feature map behind the kernel trick: row i is a concrete
-    vector whose inner products reproduce the kernel entries. Columns follow
-    the ascending eigenvalue order; negative eigenvalues within the PSD
-    tolerance are clamped to zero before the square root.
-    """
-    decomp = eigendecompose_symmetric(
-        kernel.matrix if isinstance(kernel, KernelMatrix) else kernel)
-    vals = decomp.eigenvalues
-    largest = float(vals[-1])
-    if float(vals[0]) < -1e-8 * max(largest, 0.0):
-        raise NumericalError(
-            f"kernel matrix is not positive semi-definite within tolerance "
-            f"(eigenvalue range [{vals[0]:.6e}, {largest:.6e}])")
-    return decomp.eigenvectors * np.sqrt(np.maximum(vals, 0.0))

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Mapping
 
 import numpy as np
@@ -51,24 +51,19 @@ ATTRIBUTE_SUMMARY_SCHEMA = "graphsom/attribute-summary"
 SCHEMA_VERSION = 1
 PARTITION_SCHEMA_VERSION = 2
 
-METHODS = ("spectral", "kernel-kmeans", "spectral-som", "kernel-som")
-_SOM_METHODS = ("spectral-som", "kernel-som")
-_KERNEL_METHODS = ("kernel-kmeans", "kernel-som")
-
-DEFAULT_K = 50
-DEFAULT_BETA = 0.05
-DEFAULT_EPOCHS = 100
-DEFAULT_RESTARTS = 10
-SUMMARY_ITERATIONS = 500
-FULL_ITERATIONS = 1000
-
-# which optional knobs make sense for each method; anything else is a typo
+# each method's knobs and their defaults; anything else is a typo. A None
+# default is worked out in RunConfig.resolved(): p from k or from the unit
+# count, the radius from the grid; the grid is required.
 _METHOD_KNOBS = {
-    "spectral": ("k", "p", "restarts"),
-    "kernel-kmeans": ("k", "beta", "restarts"),
-    "spectral-som": ("p", "grid", "epochs", "radius"),
-    "kernel-som": ("beta", "grid", "epochs", "radius"),
+    "spectral": {"k": 50, "p": None, "restarts": 10},
+    "kernel-kmeans": {"k": 50, "beta": 0.05, "restarts": 10},
+    "spectral-som": {"p": None, "grid": None, "epochs": 100, "radius": None},
+    "kernel-som": {"beta": 0.05, "grid": None, "epochs": 100, "radius": None},
 }
+METHODS = tuple(_METHOD_KNOBS)
+
+# each layout mode's default force iterations; None takes no --iterations
+LAYOUT_ITERATIONS = {"summary": 500, "map": None, "full": 1000}
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,7 @@ class RunConfig:
     seed: int
     out: str
     report: str | None = None
+    # fields 5 on are the knobs, in the order the report lists them
     k: int | None = None
     p: int | None = None
     beta: float | None = None
@@ -98,43 +94,38 @@ class RunConfig:
         if self.method not in METHODS:
             raise UsageError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}")
-        allowed = _METHOD_KNOBS[self.method]
-        for name in ("k", "p", "beta", "grid", "epochs", "radius", "restarts"):
-            if getattr(self, name) is not None and name not in allowed:
-                raise UsageError(f"--{name} does not apply to method {self.method}")
-        if self.method in _SOM_METHODS and self.grid is None:
+        knobs = _METHOD_KNOBS[self.method]
+        for f in fields(self)[5:]:
+            if getattr(self, f.name) is not None and f.name not in knobs:
+                raise UsageError(f"--{f.name} does not apply to method {self.method}")
+        if "grid" in knobs and self.grid is None:
             raise UsageError(f"--grid is required for method {self.method}")
 
     def resolved(self) -> dict:
-        """Full configuration with method-specific defaults filled in.
+        """Full configuration with the method's defaults filled in.
 
-        Defaults: k=50 clusters, beta=0.05, 100 epochs, 10 restarts; p falls
+        A knob given takes the type of its default, int or float; p falls
         back to k for spectral clustering and to the unit count for the
         spectral map; the radius schedule falls back to the grid default.
         """
         cfg = {"input": str(self.input), "method": self.method,
                "seed": int(self.seed), "out": str(self.out),
-               "report": None if self.report is None else str(self.report),
-               "k": None, "p": None, "beta": None, "grid": None,
-               "epochs": None, "radius": None, "restarts": None}
-        m = self.method
-        if m in ("spectral", "kernel-kmeans"):
-            cfg["k"] = DEFAULT_K if self.k is None else int(self.k)
-            cfg["restarts"] = (DEFAULT_RESTARTS if self.restarts is None
-                               else int(self.restarts))
-        if m == "spectral":
-            cfg["p"] = cfg["k"] if self.p is None else int(self.p)
-        if m in _KERNEL_METHODS:
-            cfg["beta"] = DEFAULT_BETA if self.beta is None else float(self.beta)
-        if m in _SOM_METHODS:
-            rows, cols = self.grid
-            cfg["grid"] = {"rows": int(rows), "cols": int(cols)}
-            cfg["epochs"] = DEFAULT_EPOCHS if self.epochs is None else int(self.epochs)
-            radius = (default_radius(SomGrid(int(rows), int(cols)))
+               "report": None if self.report is None else str(self.report)}
+        knobs = _METHOD_KNOBS[self.method]
+        for f in fields(self)[5:]:
+            value, default = getattr(self, f.name), knobs.get(f.name)
+            if value is None:
+                value = default
+            cfg[f.name] = value if default is None else type(default)(value)
+        if "grid" in knobs:
+            rows, cols = int(self.grid[0]), int(self.grid[1])
+            cfg["grid"] = {"rows": rows, "cols": cols}
+            radius = (default_radius(SomGrid(rows, cols))
                       if self.radius is None else self.radius)
             cfg["radius"] = [float(radius[0]), float(radius[1])]
-            if m == "spectral-som":
-                cfg["p"] = (int(rows) * int(cols) if self.p is None else int(self.p))
+        if "p" in knobs:
+            fallback = cfg["k"] if "k" in knobs else rows * cols
+            cfg["p"] = int(fallback if self.p is None else self.p)
         return cfg
 
 
@@ -199,7 +190,8 @@ def read_document(path) -> dict:
 
 def load_partition_document(path) -> dict:
     """Read a partition document; ids, ``num_clusters``, ``method`` and
-    ``params`` are checked here, once, for every command that reads one."""
+    ``params`` are checked here, once, for every command that reads one,
+    and a missing ``num_clusters`` is set to the largest id + 1."""
     doc = read_document(path)
     if doc.get("schema") != PARTITION_SCHEMA:
         raise ParseError(
@@ -211,7 +203,7 @@ def load_partition_document(path) -> dict:
         # bool is an int subclass, but JSON true/false is no cluster id
         if not isinstance(cluster, int) or isinstance(cluster, bool) or cluster < 0:
             raise ParseError(f"cluster id for {label!r} must be an integer >= 0")
-    k = doc.get("num_clusters", max(table.values()) + 1)
+    k = doc.setdefault("num_clusters", max(table.values()) + 1)
     if not isinstance(k, int) or isinstance(k, bool) or k <= max(table.values()):
         raise ParseError(f"num_clusters must be an integer above every "
                          f"cluster id, got {k!r}")
@@ -228,8 +220,9 @@ def load_partition_document(path) -> dict:
 def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
     """Rebuild the Partition of ``g`` recorded in a partition document.
 
-    The document must cover exactly the graph's vertex labels; a vertex on
-    either side without a counterpart is reported by name.
+    The document comes from :func:`load_partition_document`, which fills in
+    ``num_clusters``. It must cover exactly the graph's vertex labels; a
+    vertex on either side without a counterpart is reported by name.
     """
     table = doc["assignment"]
     for label in g.labels:
@@ -240,8 +233,7 @@ def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
         raise UsageError(
             f"partition mentions vertex {sorted(extra)[0]!r} not in the graph")
     assignment = np.array([table[label] for label in g.labels], dtype=np.int64)
-    k = doc.get("num_clusters", int(assignment.max()) + 1)
-    return Partition(assignment, k, str(doc.get("method", "")),
+    return Partition(assignment, doc["num_clusters"], str(doc.get("method", "")),
                      doc.get("params", {}))
 
 
@@ -329,24 +321,23 @@ def run_cluster(config: RunConfig) -> dict:
     """
     cfg = config.resolved()
     g = load_edge_list(config.input)
-    method = config.method
+    method, seed = config.method, config.seed
+    if cfg["grid"] is not None:
+        grid = SomGrid(**cfg["grid"])
+    # the kernel methods are the ones that take a beta
+    if cfg["beta"] is not None:
+        kern = heat_kernel(g.laplacian(), cfg["beta"])
     model = None
     if method == "spectral":
-        part = spectral_clustering(g, cfg["p"], cfg["k"], config.seed,
+        part = spectral_clustering(g, cfg["p"], cfg["k"], seed,
                                    cfg["restarts"]).partition
     elif method == "kernel-kmeans":
-        kern = heat_kernel(g.laplacian(), cfg["beta"])
-        part = kernel_kmeans(kern, cfg["k"], config.seed, cfg["restarts"]).partition
+        part = kernel_kmeans(kern, cfg["k"], seed, cfg["restarts"]).partition
+    elif method == "spectral-som":
+        model = spectral_som(g, cfg["p"], grid, cfg["epochs"], cfg["radius"], seed)
     else:
-        grid = SomGrid(cfg["grid"]["rows"], cfg["grid"]["cols"])
-        radius = (cfg["radius"][0], cfg["radius"][1])
-        if method == "spectral-som":
-            model = spectral_som(g, cfg["p"], grid, cfg["epochs"], radius,
-                                 config.seed)
-        else:
-            kern = heat_kernel(g.laplacian(), cfg["beta"])
-            model = batch_kernel_som(kern, grid, cfg["epochs"], radius,
-                                     config.seed)
+        model = batch_kernel_som(kern, grid, cfg["epochs"], cfg["radius"], seed)
+    if model is not None:
         part = som_partition(model)
 
     pdoc = partition_document(g, part, cfg, model)
@@ -443,7 +434,7 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
 
 
 def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
-    """Per-cluster attribute statistics.
+    """Per-cluster attribute statistics of a loaded partition document.
 
     Numeric keys get the mean and population standard deviation over the
     cluster members that carry the key; categorical keys get a frequency
@@ -456,7 +447,7 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
     if unknown:
         raise UsageError(
             f"attribute table mentions vertex {unknown[0]!r} not in the partition")
-    k = partition_doc.get("num_clusters", max(assignment.values()) + 1)
+    k = partition_doc["num_clusters"]
     members: list[list[str]] = [[] for _ in range(k)]
     for label, cluster in assignment.items():
         members[cluster].append(label)
@@ -504,14 +495,12 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
             "clusters": clusters}
 
 
-def run_attribute_summary(partition_path, attributes_path,
-                          out_path=None) -> dict:
-    """Summarize an attribute table per cluster; optionally write the document."""
+def run_attribute_summary(partition_path, attributes_path, out_path) -> dict:
+    """Summarize an attribute table per cluster and write the document."""
     doc = load_partition_document(partition_path)
     table = parse_attribute_table(attributes_path)
     summary = attribute_summary(doc, table)
-    if out_path is not None:
-        _write_outputs([(out_path, document_bytes(summary))])
+    _write_outputs([(out_path, document_bytes(summary))])
     return summary
 
 
@@ -529,14 +518,16 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         som_map_scene
     from .render import export_dot, render_svg
 
-    if mode not in ("summary", "map", "full"):
+    if mode not in LAYOUT_ITERATIONS:
         raise UsageError(f"unknown mode {mode!r}; expected summary, map, or full")
     if (partition_path is None) == (model_path is None):
         raise UsageError("exactly one of --partition and --model is required")
     if mode in ("map", "full") and model_path is None:
         raise UsageError(f"mode {mode} requires --model")
-    if mode == "map" and iterations is not None:
-        raise UsageError("--iterations does not apply to map mode")
+    if LAYOUT_ITERATIONS[mode] is None and iterations is not None:
+        raise UsageError(f"--iterations does not apply to {mode} mode")
+    if iterations is None:
+        iterations = LAYOUT_ITERATIONS[mode]
 
     g = load_edge_list(input_path)
     doc = load_partition_document(partition_path or model_path)
@@ -550,18 +541,15 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
             raise UsageError(f"cluster {empty[0]} has no vertices; the summary "
                              "layout draws every cluster id below num_clusters")
         dot_subject = summary_graph(g, part)
-        scene = force_directed_layout(
-            dot_subject, SUMMARY_ITERATIONS if iterations is None else iterations,
-            Rect(0.0, 0.0, 800.0, 800.0), seed)
+        scene = force_directed_layout(dot_subject, iterations,
+                                      Rect(0.0, 0.0, 800.0, 800.0), seed)
     else:
         model = model_from_document(doc)
         units = dict(zip(doc["assignment"], model.assignment))
         model = replace(model, assignment=[units[label] for label in g.labels])
         if mode == "full":
             dot_subject = g
-            scene = constrained_full_layout(
-                g, model, FULL_ITERATIONS if iterations is None else iterations,
-                seed)
+            scene = constrained_full_layout(g, model, iterations, seed)
         elif model.umatrix is None:
             raise UsageError("model holds no u-matrix; re-run cluster "
                              "to draw its map")

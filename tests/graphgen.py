@@ -60,3 +60,11 @@ def random_graph(n, density=0.3, rng=None, max_weight=5.0):
 def random_laplacian(n, rng=None, density=0.5, max_weight=2.0):
     rng = np.random.default_rng(rng)
     return random_graph(n, density=density, rng=rng, max_weight=max_weight).laplacian()
+
+
+def kernel_coordinates(kernel):
+    """Explicit coordinates X with X X^T equal to ``kernel.matrix``: the
+    feature map behind the kernel trick, as an oracle for kernelized code.
+    Eigenvalues that rounding leaves just below zero are clamped to zero."""
+    vals, vecs = np.linalg.eigh(kernel.matrix)
+    return vecs * np.sqrt(np.maximum(vals, 0.0))

@@ -14,7 +14,7 @@ from graphsom.errors import NumericalError
 from graphsom.graph import load_edge_list
 from graphsom.layout import CELL_SIDE
 from graphsom.linalg import heat_kernel
-from graphsom.pipeline import document_bytes
+from graphsom.pipeline import _METHOD_KNOBS, LAYOUT_ITERATIONS, document_bytes
 from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import random_graph
 
@@ -510,16 +510,19 @@ class TestClusterCommand:
         assert rdoc["config"]["method"] == "spectral"
         assert rdoc["config"]["seed"] == 0
 
-    def test_edgeless_graph_report(self, tmp_path):
+    def test_edgeless_graph_report(self, tmp_path, capsys):
         graph = tmp_path / "loops.tsv"
         graph.write_text("a\ta\t1.0\nb\tb\t1.0\n")
         out, report = tmp_path / "p.json", tmp_path / "r.json"
-        with pytest.warns(UserWarning, match="self-loop"):
-            code = main(["cluster", "--input", str(graph),
-                         "--method", "kernel-kmeans", "--k", "1",
-                         "--seed", "0", "--out", str(out),
-                         "--report", str(report)])
+        code = main(["cluster", "--input", str(graph),
+                     "--method", "kernel-kmeans", "--k", "1",
+                     "--seed", "0", "--out", str(out),
+                     "--report", str(report)])
         assert code == 0
+        # one line per dropped self-loop, without the library's source line
+        assert capsys.readouterr().err == (
+            "graphsom: warning: dropping self-loop on 'a' (line 1)\n"
+            "graphsom: warning: dropping self-loop on 'b' (line 2)\n")
         assert json.loads(out.read_text())["num_clusters"] == 1
         rdoc = json.loads(report.read_text())
         assert rdoc["graph"]["edges"] == 0
@@ -863,6 +866,51 @@ class TestParserShape:
         assert args.mode == "map"
         assert args.seed == 4
         assert args.dot is None and args.iterations is None
+
+
+def _option_help(capsys, monkeypatch, command):
+    """``command --help`` on one line per option, keyed by the option name."""
+    monkeypatch.setenv("COLUMNS", "500")  # no wrapped help lines
+    assert main([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    chunks = (" ".join(chunk.split()) for chunk in options.split("\n  --")[1:])
+    return {chunk.split()[0]: chunk for chunk in chunks}
+
+
+class TestDocsMatchTables:
+    """README and --help state the defaults that the option tables hold."""
+
+    def test_readme_knob_table(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("Method knobs and their defaults:")[1].split("\n\n")[1]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            method, flags, defaults = (cell.strip()
+                                       for cell in line.strip("|").split("|"))
+            rows[method.strip("`")] = (re.findall(r"`--(\w+)`", flags),
+                                       defaults.split(", "))
+        assert list(rows) == list(_METHOD_KNOBS)
+        for method, knobs in _METHOD_KNOBS.items():
+            flags, defaults = rows[method]
+            assert flags == list(knobs), method
+            for name, value in knobs.items():
+                if value is not None:
+                    assert f"{name}={value}" in defaults, (method, name)
+
+    def test_cluster_help(self, capsys, monkeypatch):
+        helps = _option_help(capsys, monkeypatch, "cluster")
+        for knobs in _METHOD_KNOBS.values():
+            for name, value in knobs.items():
+                if value is not None:
+                    assert f"default {value})" in helps[name], name
+
+    def test_layout_help(self, capsys, monkeypatch):
+        helps = _option_help(capsys, monkeypatch, "layout")
+        assert helps["mode"].startswith(
+            "mode {" + ",".join(LAYOUT_ITERATIONS) + "}")
+        for mode, iterations in LAYOUT_ITERATIONS.items():
+            if iterations is not None:
+                assert f"{iterations} {mode}" in helps["iterations"], mode
 
 
 class TestDeterminism:

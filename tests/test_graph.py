@@ -226,7 +226,7 @@ class TestSummaryGraph:
         p = Partition(np.array([0] * 4 + [1] * 4), 2)
         s = summary_graph(g, p)
         assert s.num_clusters == 2
-        assert s.num_vertices == 8
+        assert sum(node.vertex_count for node in s.nodes) == 8
         assert s.nodes[0].vertex_count == 4
         assert s.nodes[0].intra_weight == 6.0  # K4 has 6 edges
         assert s.nodes[1].intra_weight == 6.0

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from graphsom import NumericalError
 from graphsom.linalg import (
     KernelMatrix,
     _FeatureSpace,
     eigendecompose_symmetric,
     heat_kernel,
-    kernel_feature_coordinates,
     spectral_embedding,
 )
-from graphgen import complete_graph, path_graph, random_graph, random_laplacian, two_cliques
+from graphgen import path_graph, random_graph, random_laplacian, two_cliques
 
 P2_LAP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -202,36 +200,6 @@ class TestSpectralEmbedding:
             spectral_embedding(P2_LAP, 0)
         with pytest.raises(ValueError, match="p must be"):
             spectral_embedding(P2_LAP, 3)
-
-
-class TestKernelFeatureCoordinates:
-    def test_identity_kernel(self):
-        x = kernel_feature_coordinates(KernelMatrix(np.eye(5)))
-        assert np.abs(x @ x.T - np.eye(5)).max() <= 1e-12
-
-    def test_heat_kernel_triangle(self):
-        k = heat_kernel(complete_graph(3).laplacian(), 0.05)
-        x = kernel_feature_coordinates(k)
-        assert np.abs(x @ x.T - k.matrix).max() <= 1e-8
-
-    def test_rank_one_kernel(self):
-        n = 6
-        k = np.full((n, n), 1.0 / n)
-        # zero eigenvalues carry O(eps) noise, which the sqrt lifts to ~1e-8
-        x = kernel_feature_coordinates(k)
-        nonzero_cols = np.flatnonzero(np.abs(x).max(axis=0) > 1e-7)
-        assert nonzero_cols.size == 1
-
-    def test_reproduces_gram_matrix(self):
-        rng = np.random.default_rng(13)
-        pts = rng.normal(size=(12, 4))
-        gram = pts @ pts.T
-        x = kernel_feature_coordinates(KernelMatrix((gram + gram.T) / 2.0))
-        assert np.abs(x @ x.T - (gram + gram.T) / 2.0).max() <= 1e-8
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NumericalError, match="positive semi-definite"):
-            kernel_feature_coordinates(np.diag([1.0, -1.0]))
 
 
 class TestFeatureSpace:

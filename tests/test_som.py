@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphsom.som as som_module
-from graphsom.linalg import KernelMatrix, heat_kernel, kernel_feature_coordinates
+from graphsom.linalg import KernelMatrix, heat_kernel
 from graphsom.som import (
     SomGrid,
     SomModel,
@@ -14,7 +14,7 @@ from graphsom.som import (
     spectral_som,
     u_matrix,
 )
-from graphgen import two_cliques
+from graphgen import kernel_coordinates, two_cliques
 
 
 def random_gram(rng, n, p=3):
@@ -92,7 +92,7 @@ class TestBatchKernelSom:
     def test_matches_explicit_oracle_on_cliques(self):
         g = two_cliques(10)
         kern = heat_kernel(g.laplacian(), 0.5)
-        coords = kernel_feature_coordinates(kern)
+        coords = kernel_coordinates(kern)
         m_kernel = batch_kernel_som(kern, SomGrid(1, 2), epochs=100,
                                     radius=(1.0, 0.05), seed=3)
         m_explicit = batch_som(coords, SomGrid(1, 2), epochs=100,
@@ -257,7 +257,7 @@ class TestUMatrix:
         model = batch_kernel_som(kern, SomGrid(1, 2), epochs=30,
                                  radius=(1.0, 0.1), seed=15)
         u_k = u_matrix(model, kern)
-        u_x = u_matrix(model, kernel_feature_coordinates(kern))
+        u_x = u_matrix(model, kernel_coordinates(kern))
         np.testing.assert_allclose(u_k.values, u_x.values, atol=1e-6)
         assert u_k.values.max() > 0.0
 
