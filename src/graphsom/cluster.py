@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 MAX_LLOYD_ITERATIONS = 300
+# seeded Lloyd runs per clustering; the best one wins
+DEFAULT_RESTARTS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +152,8 @@ def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
     return best
 
 
-def kmeans(points, k: int, seed: int, restarts: int = 10) -> KMeansResult:
+def kmeans(points, k: int, seed: int,
+           restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """Best-of-restarts Lloyd k-means with probabilistic far-point seeding.
 
     Each restart seeds centers k-means++ style, then alternates assignment
@@ -167,7 +170,8 @@ def kmeans(points, k: int, seed: int, restarts: int = 10) -> KMeansResult:
                         restarts, int(trace.size))
 
 
-def kernel_kmeans(kernel, k: int, seed: int, restarts: int = 10) -> KMeansResult:
+def kernel_kmeans(kernel, k: int, seed: int,
+                  restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """Lloyd k-means carried out entirely through a kernel matrix.
 
     Cluster means are implicit (uniform coefficients over members); squared
@@ -186,7 +190,7 @@ def kernel_kmeans(kernel, k: int, seed: int, restarts: int = 10) -> KMeansResult
 
 
 def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
-                        restarts: int = 10) -> KMeansResult:
+                        restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means on the rows of the p lowest-eigenvalue Laplacian eigenvectors."""
     # checked before the eigensolve, which would first reject a p defaulted to k
     if not 1 <= k <= g.num_vertices:
@@ -207,7 +211,7 @@ def q_modularity(g: WeightedGraph, p: Partition, *, weighted: bool = True) -> fl
     when clusters cut more weight than they keep. With ``weighted=False``
     every edge counts 1 regardless of weight.
     """
-    block = _cluster_blocks(g, p, weighted)
+    _, block = _cluster_blocks(g, p, weighted)
     double_total = float(block.sum())  # every edge counted twice
     if double_total <= 0.0:
         raise ValueError("q-modularity is undefined for an edgeless graph")

@@ -1,8 +1,9 @@
 """Weighted-graph data model: ingestion, degrees, Laplacian, summaries.
 
 The graph is undirected with symmetric nonnegative weights and no self-loops.
-Weights are held densely; at the few-hundred-vertex scale this package targets,
-dense storage keeps every downstream eigensolve and kernel loop simple.
+It is held densely, as its Laplacian alone: at the few-hundred-vertex scale
+this package targets, dense storage keeps every downstream eigensolve and
+kernel loop simple, and the weights are the Laplacian's negated off-diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,35 +29,34 @@ __all__ = [
     "summary_graph",
 ]
 
-# Largest vertex count load_edge_list accepts. The weights, the Laplacian and
-# the kernel are dense n x n float64 arrays of 8 n^2 bytes each, and a cluster
-# command holds about six of them at its peak (see README, "Memory"): at this
-# limit one array takes 800 MB and the peak about 4.8 GB.
+# Largest vertex count load_edge_list accepts. The Laplacian and the kernel
+# are dense n x n float64 arrays of 8 n^2 bytes each, and a cluster command
+# holds about five such arrays at its peak (see README, "Memory"): at this
+# limit one array takes 800 MB and the peak about 4.0 GB.
 MAX_VERTICES = 10_000
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected graph: unique vertex labels plus a symmetric weight matrix.
 
-    ``weights[i, j]`` is the nonnegative weight of the edge between vertices
-    ``i`` and ``j`` (0 means no edge), with an exactly symmetric matrix and a
-    zero diagonal. Instances are immutable; the weight matrix is marked
-    read-only at construction.
+    Built from a weight matrix W, where ``W[i, j]`` is the nonnegative weight
+    of the edge between vertices ``i`` and ``j`` (0 means no edge), exactly
+    symmetric with a zero diagonal. The graph keeps only its Laplacian
+    ``L = D - W``, which every clustering starts from; off the diagonal W is
+    ``-L``, so :attr:`weights` rebuilds W on demand. The caller's W is not
+    kept, changed or frozen. The Laplacian is marked read-only at
+    construction, and nothing changes a graph after it.
     """
 
-    labels: tuple[str, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        w = np.array(self.weights, dtype=np.float64)
-        n = len(self.labels)
+    def __init__(self, labels: Sequence[str], weights: np.ndarray):
+        labels = tuple(str(x) for x in labels)
+        w = np.asarray(weights, dtype=np.float64)
+        n = len(labels)
         if w.ndim != 2 or w.shape != (n, n):
             raise ValueError(f"weight matrix shape {w.shape} does not match {n} labels")
         if n == 0:
             raise ValueError("graph must have at least one vertex")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("vertex labels must be distinct")
         if not np.isfinite(w).all():
             raise ValueError("edge weights must be finite")
@@ -66,43 +66,62 @@ class WeightedGraph:
             raise ValueError("weight matrix must be symmetric")
         if np.diagonal(w).any():
             raise ValueError("diagonal must be zero (no self-loops)")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self._adopt(labels, np.negative(w))
+
+    def _adopt(self, labels: tuple[str, ...], lap: np.ndarray) -> None:
+        """Keep ``lap``, an unshared -W, as the Laplacian: fill in the degrees."""
+        # -W's row sums are W's negated bit for bit; subtracting them from
+        # +0.0 keeps an isolated vertex's degree +0.0
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+        lap.setflags(write=False)
+        self.labels = labels
+        self._laplacian = lap
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight matrix W, read-only; a new n x n array on every access."""
+        w = np.negative(self._laplacian)
+        np.fill_diagonal(w, 0.0)
+        w.setflags(write=False)
+        return w
+
     @cached_property
     def num_edges(self) -> int:
         """Number of vertex pairs with positive weight."""
-        # W is symmetric with a zero diagonal, so each pair is counted twice
-        return int(np.count_nonzero(self.weights)) // 2
+        # L is symmetric and nonzero off the diagonal exactly at the edges,
+        # so each pair is counted twice
+        lap = self._laplacian
+        return (np.count_nonzero(lap) - np.count_nonzero(np.diagonal(lap))) // 2
 
     @cached_property
     def total_weight(self) -> float:
         """Sum of edge weights, each unordered pair counted once."""
-        return float(np.triu(self.weights, 1).sum())
+        # subtracted from +0.0, so an edgeless graph gives +0.0, not -0.0
+        return 0.0 - float(np.triu(self._laplacian, 1).sum())
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = self.weights.sum(axis=1)
+        d = np.diagonal(self._laplacian).copy()
         d.setflags(write=False)
         return d
 
     def laplacian(self) -> np.ndarray:
-        """Graph Laplacian: degrees on the diagonal, negated weights elsewhere."""
-        lap = np.negative(self.weights)
-        np.fill_diagonal(lap, self.degrees)
-        lap.setflags(write=False)
-        return lap
+        """Graph Laplacian: degrees on the diagonal, negated weights elsewhere.
+
+        The stored read-only array itself, not a copy.
+        """
+        return self._laplacian
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(i, j, weight)`` with ``i < j`` for every positive-weight edge."""
         # row by row, so no temporary grows with n^2 or with the edge count
-        for i, row in enumerate(self.weights):
+        for i, row in enumerate(self._laplacian):
             for j in (np.flatnonzero(row[i + 1:]) + (i + 1)).tolist():
-                yield i, j, float(row[j])
+                yield i, j, -float(row[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +242,12 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
                           count=len(pair_weights))
     w[rows, cols] = weights
     w[cols, rows] = weights
-    labels = tuple(sorted(index, key=index.__getitem__))
-    return WeightedGraph(labels, w)
+    # W is valid by construction, so it becomes L in place. No second n x n
+    # array is made and none is freed: after freeing one, glibc serves later
+    # n x n temporaries from its heap, where they stay resident once freed
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._adopt(tuple(sorted(index, key=index.__getitem__)), np.negative(w, out=w))
+    return g
 
 
 @dataclass(frozen=True)
@@ -269,14 +292,26 @@ def _onehot(assign: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cluster_blocks(g: WeightedGraph, p: Partition,
-                    weighted: bool = True) -> np.ndarray:
-    """Entry (c, c') sums w[i, j] over i in c, j in c'; 1 per edge if not weighted."""
+                    weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the clusters that hold vertices, ascending, and their sums.
+
+    Entry (a, b) of the block sums w[i, j] over i in cluster ``ids[a]`` and
+    j in cluster ``ids[b]``, or counts the edges if not weighted. An empty
+    cluster would add only zeros, so the block is at most n x n whatever
+    ``p.k`` is.
+    """
     if p.num_vertices != g.num_vertices:
         raise ValueError(f"partition covers {p.num_vertices} vertices, "
                          f"graph has {g.num_vertices}")
-    w = g.weights if weighted else (g.weights > 0).astype(np.float64)
-    z = _onehot(p.assignment, p.k)
-    return z.T @ w @ z
+    ids = np.flatnonzero(p.sizes())
+    if weighted:
+        w = g.weights
+    else:
+        # 1 exactly where L < 0, at the edges, written straight into floats
+        lap = g.laplacian()
+        w = np.less(lap, 0.0, out=np.empty_like(lap))
+    z = _onehot(np.searchsorted(ids, p.assignment), ids.size)
+    return ids, z.T @ w @ z
 
 
 def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
@@ -286,13 +321,16 @@ def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
     ``c``; an edge joins clusters ``c != c'`` with the summed weight of all
     crossing edges, omitted when that sum is zero.
     """
-    block = _cluster_blocks(g, p)
+    ids, block = _cluster_blocks(g, p)
     sizes = p.sizes()
-    nodes = tuple(SummaryNode(c, int(sizes[c]), float(block[c, c]) / 2.0)
+    intra = np.zeros(p.k)
+    intra[ids] = np.diagonal(block)
+    nodes = tuple(SummaryNode(c, int(sizes[c]), float(intra[c]) / 2.0)
                   for c in range(p.k))
     edges = []
-    for a in range(p.k):
-        for b in range(a + 1, p.k):
+    for a in range(ids.size):
+        for b in range(a + 1, ids.size):
             if block[a, b] > 0:
-                edges.append(SummaryEdge(a, b, float(block[a, b])))
+                edges.append(SummaryEdge(int(ids[a]), int(ids[b]),
+                                         float(block[a, b])))
     return ClusterSummaryGraph(nodes, tuple(edges))

@@ -202,15 +202,17 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
     return r0 * np.sqrt(counts)
 
 
-def _repulsion(x, y, k, out_x, out_y):
+def _repulsion(x, y, k, out_x, out_y, work):
     """Write the summed k^2/d repulsion on each of the points (x, y).
 
     ``dx[j, i] = x[i] - x[j]``, so the axis-0 sums run over j in order.
+    ``work`` holds the four m x m arrays it writes, so it allocates none.
     """
-    dx = x - x[:, None]
-    dy = y - y[:, None]
-    dist = dx * dx
-    dist += dy * dy
+    dx, dy, dist, sq = work
+    np.subtract(x, x[:, None], out=dx)
+    np.subtract(y, y[:, None], out=dy)
+    np.multiply(dx, dx, out=dist)
+    dist += np.multiply(dy, dy, out=sq)
     np.sqrt(dist, out=dist)
     np.maximum(dist, _EPS_DIST, out=dist)
     np.fill_diagonal(dist, np.inf)
@@ -257,10 +259,16 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     bins = np.concatenate([np.arange(n), a, b])
     rep_x = np.zeros(n)
     rep_y = np.zeros(n)
+    # Each group's work arrays are views of one buffer that every step
+    # reuses: per-step arrays of a few hundred KB would each be a fresh mmap,
+    # zeroed page by page, until the process first frees a larger block
+    sizes = [s.stop - s.start for s in slices]
+    scratch = np.empty((4, max(sizes, default=0) ** 2))
+    works = [tuple(row[:m * m].reshape(m, m) for row in scratch) for m in sizes]
     for t in range(iterations):
         temp = temp0 * (1.0 - t / iterations)
-        for s in slices:
-            _repulsion(x[s], y[s], k, rep_x[s], rep_y[s])
+        for s, work in zip(slices, works):
+            _repulsion(x[s], y[s], k, rep_x[s], rep_y[s], work)
         dx = x[a] - x[b]
         dy = y[a] - y[b]
         dist = np.sqrt(dx * dx + dy * dy)

@@ -17,12 +17,13 @@ from typing import IO, Mapping
 import numpy as np
 
 from . import graph
-from .cluster import kernel_kmeans, partition_stats, q_modularity, spectral_clustering
+from .cluster import DEFAULT_RESTARTS, kernel_kmeans, partition_stats, q_modularity, \
+    spectral_clustering
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
 from .linalg import heat_kernel
-from .som import SomGrid, SomModel, UMatrix, batch_kernel_som, default_radius, \
-    som_partition, spectral_som
+from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, batch_kernel_som, \
+    default_radius, som_partition, spectral_som
 
 __all__ = [
     "PARTITION_SCHEMA",
@@ -55,10 +56,12 @@ PARTITION_SCHEMA_VERSION = 2
 # default is worked out in RunConfig.resolved(): p from k or from the unit
 # count, the radius from the grid; the grid is required.
 _METHOD_KNOBS = {
-    "spectral": {"k": 50, "p": None, "restarts": 10},
-    "kernel-kmeans": {"k": 50, "beta": 0.05, "restarts": 10},
-    "spectral-som": {"p": None, "grid": None, "epochs": 100, "radius": None},
-    "kernel-som": {"beta": 0.05, "grid": None, "epochs": 100, "radius": None},
+    "spectral": {"k": 50, "p": None, "restarts": DEFAULT_RESTARTS},
+    "kernel-kmeans": {"k": 50, "beta": 0.05, "restarts": DEFAULT_RESTARTS},
+    "spectral-som": {"p": None, "grid": None, "epochs": DEFAULT_EPOCHS,
+                     "radius": None},
+    "kernel-som": {"beta": 0.05, "grid": None, "epochs": DEFAULT_EPOCHS,
+                   "radius": None},
 }
 METHODS = tuple(_METHOD_KNOBS)
 

@@ -46,6 +46,8 @@ __all__ = [
 
 # update denominators below this leave the gamma row untouched for the epoch
 _DEAD_UNIT_FLOOR = 1e-300
+# training epochs per map; the radius shrinks linearly across them
+DEFAULT_EPOCHS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +235,7 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int,
                     _umatrix(space, grid, gamma))
 
 
-def batch_kernel_som(kernel, grid: SomGrid, epochs: int = 100,
+def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
                      radius: tuple[float, float] | None = None,
                      seed: int = 0) -> SomModel:
     """Batch SOM driven entirely through a kernel matrix.
@@ -249,7 +251,7 @@ def batch_kernel_som(kernel, grid: SomGrid, epochs: int = 100,
                   **beta)
 
 
-def batch_som(points, grid: SomGrid, epochs: int = 100,
+def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
               radius: tuple[float, float] | None = None,
               seed: int = 0) -> SomModel:
     """Euclidean batch SOM with the same scheduling as the kernel variant.
@@ -261,7 +263,8 @@ def batch_som(points, grid: SomGrid, epochs: int = 100,
     return _train(_FeatureSpace(points), grid, epochs, radius, seed, "batch-som")
 
 
-def spectral_som(g: WeightedGraph, p: int, grid: SomGrid, epochs: int = 100,
+def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
+                 epochs: int = DEFAULT_EPOCHS,
                  radius: tuple[float, float] | None = None,
                  seed: int = 0) -> SomModel:
     """Batch SOM on the spectral embedding of a graph."""

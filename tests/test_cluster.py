@@ -251,6 +251,14 @@ class TestQModularity:
         assert q_modularity(g, p, weighted=True) != \
             q_modularity(g, p, weighted=False)
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_empty_clusters_add_nothing(self, weighted):
+        g = random_graph(20, rng=8)
+        assign = np.arange(20) % 4
+        spread = Partition(assign * 500 + 7, 2000)  # 1996 empty cluster ids
+        assert q_modularity(g, spread, weighted=weighted) == \
+            q_modularity(g, Partition(assign, 4), weighted=weighted)
+
     def test_edgeless_rejected(self):
         from graphgen import from_weights
         g = from_weights(np.zeros((2, 2)))

@@ -1,11 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from graphsom import ParseError, Partition, UsageError, WeightedGraph, load_edge_list, \
     summary_graph
-from graphgen import complete_graph, path_graph, random_graph, two_cliques
+from graphgen import complete_graph, from_weights, path_graph, random_graph, two_cliques
 
 
 class TestWeightedGraph:
@@ -85,6 +86,62 @@ class TestLaplacian:
         for _ in range(10):
             x = rng.normal(size=12)
             assert x @ lap @ x >= -1e-10
+
+
+def weight_matrices():
+    """Random, complete, path and edgeless weight matrices."""
+    rng = np.random.default_rng(4)
+    random = np.triu(rng.uniform(0.1, 5.0, (12, 12)) * (rng.random((12, 12)) < 0.3), 1)
+    path = np.diag(np.arange(1.0, 7.0), 1)
+    return {"random": random + random.T, "complete": np.ones((6, 6)) - np.eye(6),
+            "path": path + path.T, "edgeless": np.zeros((5, 5)),
+            "single vertex": np.zeros((1, 1))}
+
+
+class TestDerivedFromLaplacian:
+    """The graph keeps only L; everything it reports is what W gave."""
+
+    @pytest.mark.parametrize("name", list(weight_matrices()))
+    def test_matches_the_weight_formulas(self, name):
+        w = weight_matrices()[name]
+        g = from_weights(w)
+        lap = np.negative(w)
+        np.fill_diagonal(lap, w.sum(axis=1))
+        edges = [(i, j, float(w[i, j])) for i in range(len(w))
+                 for j in range(i + 1, len(w)) if w[i, j]]
+        assert g.weights.tobytes() == w.tobytes()
+        assert g.laplacian().tobytes() == lap.tobytes()
+        assert g.degrees.tobytes() == w.sum(axis=1).tobytes()
+        assert g.num_edges == np.count_nonzero(w) // 2
+        assert g.total_weight == float(np.triu(w, 1).sum())
+        assert list(g.edges()) == edges
+
+    @pytest.mark.parametrize("name", ["edgeless", "single vertex"])
+    def test_edgeless_total_weight_is_positive_zero(self, name):
+        g = from_weights(weight_matrices()[name])
+        assert g.total_weight == 0.0
+        assert math.copysign(1.0, g.total_weight) == 1.0
+
+    def test_loaded_graph_matches_the_constructed_one(self):
+        w = weight_matrices()["random"]
+        lines = [f"v{i}\tv{j}\t{weight!r}" for i, j, weight in from_weights(w).edges()]
+        lines.append("lone\tlone")  # a vertex with no edges, degree +0.0
+        with pytest.warns(UserWarning, match="self-loop"):
+            g = load_edge_list(io.StringIO("\n".join(lines)))
+        # vertices are indexed by first appearance, "lone" last
+        order = [int(label[1:]) for label in g.labels[:-1]]
+        full = np.zeros((len(order) + 1,) * 2)
+        full[:-1, :-1] = w[np.ix_(order, order)]
+        expected = from_weights(full)
+        assert g.laplacian().tobytes() == expected.laplacian().tobytes()
+        assert g.weights.tobytes() == full.tobytes()
+        assert g.total_weight == expected.total_weight
+
+    def test_weights_are_new_and_read_only(self):
+        g = path_graph(4)
+        assert g.weights is not g.weights
+        assert not g.weights.flags.writeable
+        assert not g.laplacian().flags.writeable
 
 
 class TestPartition:

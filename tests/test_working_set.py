@@ -1,7 +1,8 @@
-"""The dense working set of the eigensolve, the heat kernel and the edge list.
+"""The dense working set of the graph, the eigensolve, the heat kernel and the report.
 
-graphsom holds W, L and K as dense n x n float64 arrays, so a command's
-memory is a count of live n x n arrays. These tests pin that count: peaks
+graphsom holds L and K as dense n x n float64 arrays, and derives W from L
+only for a moment where it is needed, so a command's memory is a count of
+live n x n arrays. These tests pin that count: peaks
 are traced with tracemalloc, net of what is held before the call, and
 measured in units of one n x n float64 array (8 n^2 bytes). LAPACK's own
 workspace inside ``eigh`` is allocated outside Python's tracing and is not
@@ -14,8 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphsom import Partition
+from graphsom.cluster import q_modularity
 from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
-from graphgen import complete_graph, random_graph
+from graphsom.pipeline import report_document
+from graphgen import complete_graph, from_weights, path_graph, random_graph
 
 N = 300
 
@@ -24,16 +28,28 @@ def graph(seed=0, n=N):
     return random_graph(n, density=0.05, rng=np.random.default_rng(seed))
 
 
-def peak_arrays(call, n=N) -> float:
-    """Traced peak of ``call()`` above what was held before it, in n x n arrays."""
+def traced(call) -> tuple[int, int]:
+    """Bytes that ``call()`` leaves held and its traced peak, both above what
+    was held before it."""
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - held) / (8.0 * n * n)
+    del result
+    return held - before, peak - before
+
+
+def peak_arrays(call, n=N) -> float:
+    """Traced peak of ``call()`` above what was held before it, in n x n arrays."""
+    return traced(call)[1] / (8.0 * n * n)
+
+
+def weights(n=N) -> np.ndarray:
+    """A writable weight matrix of the test graph."""
+    return np.array(graph(n=n).weights)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -44,6 +60,8 @@ def warm_up():
     heat_kernel(g.laplacian(), 0.05)
     KernelMatrix(np.eye(20).tolist())
     list(g.edges())
+    report_document(g, Partition(np.arange(20) % 3, 3), {})
+    q_modularity(g, Partition(np.arange(20) % 3, 30))
 
 
 class TestTracedPeak:
@@ -75,8 +93,48 @@ class TestTracedPeak:
         g = complete_graph(N)
         assert peak_arrays(lambda: list(g.edges())) <= 7.5
 
+    # Measured at n=300: a graph with its Laplacian, degrees and edge totals
+    # in hand holds 1.0 arrays (2.0 when it kept W and built L per call).
+    # The report on a graph built inside the call peaks at 2.1: L plus one
+    # temporary for the block sums (2.1 as well when it held W).
+    def test_graph_holds_only_its_laplacian(self):
+        def build():
+            w = weights()
+            g = from_weights(w)
+            del w
+            lap = g.laplacian()
+            _ = g.degrees, g.num_edges, g.total_weight  # cached on the graph
+            return g, lap
+
+        held, _ = traced(build)
+        assert held / (8.0 * N * N) <= 1.2
+
+    def test_laplacian_allocates_nothing(self):
+        g = graph()
+        assert g.laplacian() is g.laplacian()
+        assert peak_arrays(g.laplacian) <= 0.01
+
+    def test_report_on_a_new_graph(self):
+        w = weights()
+        part = Partition(np.arange(N) % 7, 7)
+        assert peak_arrays(lambda: report_document(from_weights(w), part, {})) <= 2.5
+
+    def test_cluster_blocks_grow_with_vertices_not_cluster_ids(self):
+        g = path_graph(8)
+        part = Partition(np.arange(8) % 3, 3000)
+        assert traced(lambda: q_modularity(g, part))[1] < 1_000_000
+
 
 class TestCallerArrays:
+    def test_graph_never_aliases_freezes_or_changes_weights(self):
+        w = weights(n=30)
+        before = w.tobytes()
+        g = from_weights(w)
+        assert w.flags.writeable
+        assert w.tobytes() == before
+        assert not np.shares_memory(g.laplacian(), w)
+        assert not np.shares_memory(g.weights, w)
+
     def test_kernel_matrix_never_aliases_a_symmetric_input(self):
         arr = heat_kernel(graph(n=30).laplacian(), 0.1).matrix.copy()
         assert (arr == arr.T).all()
