@@ -37,6 +37,13 @@ _EPS_DIST = 1e-9
 # fraction of a cell kept clear on each side in constrained mode
 _CELL_MARGIN = 0.05
 
+# Repulsion groups up to this size share one padded block; larger ones get a
+# block each. On the n=615 landmark drawing's small cells (seeds 10 and 11, a
+# 2-vCPU x86 host, numpy 2.4) a step took a median 160-162 us at 16, 176-195
+# at 32 and 165-187 at 64 (both the same blocks there), and 333-398 with no
+# sharing: past 16 the padding costs what a block's own numpy calls save
+_SHARED_BLOCK_MAX = 16
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -202,27 +209,38 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
     return r0 * np.sqrt(counts)
 
 
-def _repulsion(x, y, k, out_x, out_y, work):
-    """Write the summed k^2/d repulsion on each of the points (x, y).
+def _repulsion(x, y, k, out_x, out_y, work, inf_at):
+    """Write the summed k^2/d repulsion on each row of points (x, y).
 
-    ``dx[j, i] = x[i] - x[j]``, so the axis-0 sums run over j in order.
-    ``work`` holds the four m x m arrays it writes, so it allocates none.
+    ``x`` and ``y`` are (G, M): G independent blocks of M points.
+    ``dx[g, j, i] = x[g, i] - x[g, j]``, so the axis-1 sums run over j in
+    order. The distance is set to inf at the flat indices ``inf_at`` (self
+    pairs and padding), which makes those terms +-0. ``work`` holds the four
+    G x M x M arrays it writes, so it allocates none.
     """
     dx, dy, dist, sq = work
-    np.subtract(x, x[:, None], out=dx)
-    np.subtract(y, y[:, None], out=dy)
+    np.subtract(x[:, None, :], x[:, :, None], out=dx)
+    np.subtract(y[:, None, :], y[:, :, None], out=dy)
     np.multiply(dx, dx, out=dist)
     dist += np.multiply(dy, dy, out=sq)
     np.sqrt(dist, out=dist)
     np.maximum(dist, _EPS_DIST, out=dist)
-    np.fill_diagonal(dist, np.inf)
+    np.put(dist, inf_at, np.inf)
     # (dx, dy) / dist * (k^2 / dist), folded into one factor
     dist *= dist
     f = np.divide(k * k, dist, out=dist)
     dx *= f
     dy *= f
-    dx.sum(axis=0, out=out_x)
-    dy.sum(axis=0, out=out_y)
+    dx.sum(axis=1, out=out_x)
+    dy.sum(axis=1, out=out_y)
+
+
+def _self_and_padding(sizes, m):
+    """Flat indices of the self pairs and of the padded senders in a
+    (len(sizes), m, m) block whose row g holds sizes[g] real points."""
+    slot = np.arange(m)
+    return np.flatnonzero((slot[:, None] == slot)
+                          | (slot[:, None] >= sizes[:, None, None]))
 
 
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
@@ -231,7 +249,11 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
 
     Repels only within each of the disjoint index groups in repulsion_groups,
     attracts along all edges, caps each displacement at a linearly shrinking
-    temperature, then clips into [lo, hi] per coordinate.
+    temperature, then clips into [lo, hi] per coordinate. Stops early at the
+    first step that changes no coordinate: forces depend on the positions
+    alone and a cooler step only shortens each capped move, so every later
+    step would change nothing either. ``iterations`` is thus an upper bound,
+    and the result is the same bits as running every step.
 
     The vertices are renumbered so that every group is a contiguous slice,
     and each coordinate is kept in its own array. A vertex still sums its
@@ -239,17 +261,24 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     order, so the renumbering changes no bit of the result.
     """
     n = pos.shape[0]
-    groups = [np.asarray(idx, dtype=np.int64) for idx in repulsion_groups]
-    grouped = np.concatenate([np.zeros(0, dtype=np.int64), *groups])
+    groups = [idx for idx in (np.asarray(g, dtype=np.int64)
+                              for g in repulsion_groups) if idx.size >= 2]
+    sizes = np.array([idx.size for idx in groups], dtype=np.int64)
+    # a group that would share with nobody keeps a block of its own
+    shared = sizes <= _SHARED_BLOCK_MAX
+    shared &= np.count_nonzero(shared) >= 2
+    large, small = sizes[~shared], sizes[shared]
+    # the groups with a block of their own first, then those that share one
+    grouped = np.concatenate([np.zeros(0, dtype=np.int64),
+                              *(g for g, s in zip(groups, shared) if not s),
+                              *(g for g, s in zip(groups, shared) if s)])
     rest = np.setdiff1d(np.arange(n), grouped)
     order = np.concatenate([grouped, rest])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    bounds = np.cumsum([0] + [idx.size for idx in groups])
-    slices = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e - s >= 2]
 
-    x = pos[order, 0].copy()
-    y = pos[order, 1].copy()
+    xy = np.stack([pos[order, 0], pos[order, 1]])
+    x, y = xy
     lo_x, lo_y = np.broadcast_to(lo, pos.shape)[order].T.copy()
     hi_x, hi_y = np.broadcast_to(hi, pos.shape)[order].T.copy()
     a = rank[edges[:, 0]]
@@ -259,16 +288,42 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     bins = np.concatenate([np.arange(n), a, b])
     rep_x = np.zeros(n)
     rep_y = np.zeros(n)
-    # Each group's work arrays are views of one buffer that every step
+    m_small = int(small.max(initial=0))
+    # Every block's work arrays are views of one buffer that every step
     # reuses: per-step arrays of a few hundred KB would each be a fresh mmap,
     # zeroed page by page, until the process first frees a larger block
-    sizes = [s.stop - s.start for s in slices]
-    scratch = np.empty((4, max(sizes, default=0) ** 2))
-    works = [tuple(row[:m * m].reshape(m, m) for row in scratch) for m in sizes]
+    scratch = np.empty((4, max(small.size * m_small ** 2,
+                               int(large.max(initial=0)) ** 2)))
+    own = []
+    for start, m in zip(np.cumsum(large) - large, large):
+        # a large group is a block of one on views of its own slice
+        s = slice(start, start + m)
+        own.append((x[s][None], y[s][None], rep_x[s][None], rep_y[s][None],
+                    tuple(row[:m * m].reshape(1, m, m) for row in scratch),
+                    _self_and_padding(np.array([m]), m)))
+    # the small groups share one block, gathered and scattered by index;
+    # padding repeats a group's last member after the real ones, so each
+    # receiver adds only +-0 after its real terms and no bit changes
+    members = slice(int(large.sum()), int(sizes.sum()))
+    slot = np.arange(m_small)
+    first = members.start + np.cumsum(small) - small
+    gather = first[:, None] + np.minimum(slot, small[:, None] - 1)
+    real_at = np.flatnonzero(slot < small[:, None])
+    shared_x, shared_y, shared_rx, shared_ry = np.empty((4, small.size, m_small))
+    shared_work = tuple(row[:small.size * m_small ** 2]
+                        .reshape(small.size, m_small, m_small) for row in scratch)
+    shared_inf_at = _self_and_padding(small, m_small)
     for t in range(iterations):
         temp = temp0 * (1.0 - t / iterations)
-        for s, work in zip(slices, works):
-            _repulsion(x[s], y[s], k, rep_x[s], rep_y[s], work)
+        for bx, by, out_x, out_y, work, inf_at in own:
+            _repulsion(bx, by, k, out_x, out_y, work, inf_at)
+        if small.size:
+            x.take(gather, out=shared_x)
+            y.take(gather, out=shared_y)
+            _repulsion(shared_x, shared_y, k, shared_rx, shared_ry,
+                       shared_work, shared_inf_at)
+            shared_rx.take(real_at, out=rep_x[members])
+            shared_ry.take(real_at, out=rep_y[members])
         dx = x[a] - x[b]
         dy = y[a] - y[b]
         dist = np.sqrt(dx * dx + dy * dy)
@@ -282,10 +337,14 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
         scale = np.minimum(1.0, temp / np.maximum(lengths, _EPS_DIST))
         disp_x *= scale
         disp_y *= scale
+        before = xy.tobytes()
         x += disp_x
         y += disp_y
         np.clip(x, lo_x, hi_x, out=x)
         np.clip(y, lo_y, hi_y, out=y)
+        # bit for bit, so that a -0 turned +0 counts as a move
+        if xy.tobytes() == before:
+            break
     return np.column_stack([x, y])[rank]
 
 
@@ -297,9 +356,11 @@ def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
     with d^2/k scaled by its weight over the largest weight, where
     k = sqrt(frame area / node count) is the ideal edge length. Displacements
     are capped by a temperature that cools linearly from a tenth of the frame
-    diagonal, and positions are clamped to the frame. Starting positions are
-    drawn uniformly from the frame under ``seed``, so the result is a pure
-    function of (sg, iterations, frame, seed).
+    diagonal, and positions are clamped to the frame. The loop stops at the
+    first step that moves no node, so ``iterations`` is an upper bound and
+    the result has the same bits as running every step. Starting positions
+    are drawn uniformly from the frame under ``seed``, so the result is a
+    pure function of (sg, iterations, frame, seed).
     """
     if iterations < 1:
         raise UsageError(f"iterations must be at least 1, got {iterations}")
@@ -386,7 +447,9 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
     repulsion acts only between vertices sharing a unit, and after every step
     each vertex is projected back into its unit's cell, inset by a 5% margin.
     Attraction still runs over all graph edges, so ties between cells drag
-    their endpoints toward the shared border. Deterministic under ``seed``.
+    their endpoints toward the shared border. As there, the loop stops at the
+    first step that moves no vertex, with the same bits as running every
+    step. Deterministic under ``seed``.
     """
     if iterations < 1:
         raise UsageError(f"iterations must be at least 1, got {iterations}")

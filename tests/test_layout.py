@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphsom import layout
 from graphsom.graph import Partition, summary_graph
 from graphsom.layout import (
     CELL_SIDE,
@@ -168,6 +170,19 @@ def reference_anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     return pos
 
 
+def count_blocks(monkeypatch):
+    """Record the (G, M) shape of every repulsion block ``_anneal`` runs."""
+    shapes = []
+    kernel = layout._repulsion
+
+    def counting(x, *args):
+        shapes.append(x.shape)
+        return kernel(x, *args)
+
+    monkeypatch.setattr(layout, "_repulsion", counting)
+    return shapes
+
+
 class TestAnneal:
     def grouped_input(self, seed, num_edges):
         """Shuffled groups of sizes 1..9 over a random subset of the
@@ -194,7 +209,7 @@ class TestAnneal:
         kw = self.grouped_input(seed, num_edges)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
 
-    def test_matches_reference_in_one_frame(self):
+    def test_matches_reference_in_one_frame(self, monkeypatch):
         rng = np.random.default_rng(7)
         n = 25
         pos = rng.random((n, 2)) * 100.0
@@ -205,6 +220,102 @@ class TestAnneal:
                   iterations=20, k=20.0, lo=np.array([0.0, 0.0]),
                   hi=np.array([100.0, 100.0]), temp0=14.0,
                   repulsion_groups=[np.arange(n)])
+        shapes = count_blocks(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        # a small group that shares with nobody is a block of one, unpadded
+        assert set(shapes) == {(1, n)}
+
+    def test_matches_reference_across_the_shared_block_max(self, monkeypatch):
+        # groups on both sides of the shared block's size; a coincident pair
+        # in a shared and in a lone group, so padding meets zero distances
+        rng = np.random.default_rng(3)
+        m = layout._SHARED_BLOCK_MAX
+        sizes = [1, 2, 9, m, m + 1, 70]
+        n = sum(sizes) + 5
+        perm = rng.permutation(n)
+        cuts = np.cumsum([0] + sizes)
+        groups = [perm[s:e] for s, e in zip(cuts[:-1], cuts[1:])]
+        lo = rng.uniform(0.0, 50.0, (n, 2))
+        hi = lo + rng.uniform(20.0, 60.0, (n, 2))
+        pos = lo + rng.random((n, 2)) * (hi - lo)
+        for idx in (groups[2], groups[5]):
+            pos[idx[4]] = pos[idx[1]]
+            lo[idx[4]], hi[idx[4]] = lo[idx[1]], hi[idx[1]]
+        edges = np.stack([rng.integers(0, n, 150), rng.integers(0, n, 150)], 1)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        kw = dict(pos=pos, edges=edges,
+                  norm_weights=rng.uniform(0.1, 1.0, len(edges)),
+                  iterations=15, k=7.0, lo=lo, hi=hi, temp0=9.0,
+                  repulsion_groups=groups)
+        shapes = count_blocks(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        # m + 1 and 70 alone on their slices; 2, 9 and m padded to m together
+        assert set(shapes) == {(1, m + 1), (1, 70), (3, m)}
+
+    def test_stops_at_the_first_step_that_moves_nothing(self, monkeypatch):
+        # the pair is pushed into opposite corners of its box and stays there
+        kw = dict(pos=np.array([[4.0, 4.5], [6.0, 5.0], [50.0, 50.0]]),
+                  edges=np.zeros((0, 2), dtype=np.int64),
+                  norm_weights=np.zeros(0), iterations=50, k=20.0,
+                  lo=np.array([0.0, 0.0]), hi=np.array([10.0, 10.0]),
+                  temp0=3.0, repulsion_groups=[np.arange(2)])
+        shapes = count_blocks(monkeypatch)
+        out = _anneal(**kw)
+        assert 1 < len(shapes) < kw["iterations"]
+        np.testing.assert_array_equal(out, reference_anneal(**kw))
+        np.testing.assert_array_equal(out[:2], [[0.0, 0.0], [10.0, 10.0]])
+
+    def blocks_per_step(self, shapes, kw):
+        _anneal(**dict(kw, iterations=1))
+        per_step = len(shapes)
+        shapes.clear()
+        return per_step
+
+    def test_degenerate_boxes_stop_after_one_step(self, monkeypatch):
+        kw = self.grouped_input(0, 90)
+        kw["hi"] = kw["lo"]
+        kw["pos"] = kw["lo"].copy()
+        shapes = count_blocks(monkeypatch)
+        per_step = self.blocks_per_step(shapes, kw)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert len(shapes) == per_step
+
+    def test_runs_every_step_when_it_never_settles(self, monkeypatch):
+        kw = self.grouped_input(1, 90)
+        shapes = count_blocks(monkeypatch)
+        per_step = self.blocks_per_step(shapes, kw)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert len(shapes) == kw["iterations"] * per_step
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 45), min_size=1, max_size=7),
+           loose=st.integers(0, 4), num_edges=st.integers(0, 80),
+           dupes=st.integers(0, 6), flat=st.floats(0.0, 1.0),
+           iterations=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_on_random_mixes(self, sizes, loose, num_edges,
+                                               dupes, flat, iterations, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes) + loose
+        perm = rng.permutation(n)
+        cuts = np.cumsum([0] + sizes)
+        groups = [perm[s:e] for s, e in zip(cuts[:-1], cuts[1:])]
+        lo = rng.uniform(0.0, 30.0, (n, 2))
+        # a share of the boxes have no width on one axis or both
+        width = rng.uniform(0.0, 40.0, (n, 2))
+        width[rng.random((n, 2)) < flat] = 0.0
+        hi = lo + width
+        pos = lo + rng.random((n, 2)) * width
+        for _ in range(dupes):
+            i, j = rng.integers(0, n, 2)
+            pos[j] = pos[i]
+        a = rng.integers(0, n, num_edges)
+        b = (a + rng.integers(1, n, num_edges)) % n if n > 1 else a
+        edges = np.stack([a, b], axis=1)[a != b].reshape(-1, 2)
+        kw = dict(pos=pos, edges=edges,
+                  norm_weights=rng.uniform(0.1, 1.0, len(edges)),
+                  iterations=iterations, k=float(rng.uniform(1.0, 20.0)),
+                  lo=lo, hi=hi, temp0=float(rng.uniform(0.1, 20.0)),
+                  repulsion_groups=groups)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
 
     def test_coincident_pair_gets_the_push_of_the_third(self):
