@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .graph import Partition, WeightedGraph, _cluster_blocks, _onehot
+from .graph import Partition, WeightedGraph, _cluster_blocks
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
 __all__ = [
@@ -132,7 +132,9 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k).astype(np.float64)
-        gamma = _onehot(assign, k).T / counts[:, None]
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), assign] = 1.0
+        gamma = onehot.T / counts[:, None]
         dist2 = space.dist2(gamma)
         trace.append(float(dist2[np.arange(n), assign].sum()))
     return assign, gamma, np.array(trace)

@@ -1,9 +1,9 @@
-"""Weighted-graph data model: ingestion, degrees, Laplacian, summaries.
+"""Weighted-graph data model: ingestion, Laplacian, summaries.
 
 The graph is undirected with symmetric nonnegative weights and no self-loops.
-It is held densely, as its Laplacian alone: at the few-hundred-vertex scale
-this package targets, dense storage keeps every downstream eigensolve and
-kernel loop simple, and the weights are the Laplacian's negated off-diagonal.
+It is held as its edge list, 16 bytes per edge: totals, modularity, the
+cluster summary graph and the drawings are sums over edges. Only the
+clusterings see an n x n array, the dense Laplacian, built on first use.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class WeightedGraph:
 
     Built from a weight matrix W, where ``W[i, j]`` is the nonnegative weight
     of the edge between vertices ``i`` and ``j`` (0 means no edge), exactly
-    symmetric with a zero diagonal. The graph keeps only its Laplacian
-    ``L = D - W``, which every clustering starts from; off the diagonal W is
-    ``-L``, so :attr:`weights` rebuilds W on demand. The caller's W is not
-    kept, changed or frozen. The Laplacian is marked read-only at
-    construction, and nothing changes a graph after it.
+    symmetric with a zero diagonal. The graph keeps only its edges, as the
+    read-only arrays ``edge_arrays = (i, j, w)``: int32 vertex indices with
+    ``i < j`` in row-major order and their positive float64 weights. The
+    dense Laplacian is built on the first call to :meth:`laplacian` and kept;
+    :attr:`weights` rebuilds W on demand. The caller's W is not kept,
+    changed or frozen, and nothing changes a graph after construction.
     """
 
     def __init__(self, labels: Sequence[str], weights: np.ndarray):
@@ -66,62 +67,62 @@ class WeightedGraph:
             raise ValueError("weight matrix must be symmetric")
         if np.diagonal(w).any():
             raise ValueError("diagonal must be zero (no self-loops)")
-        self._adopt(labels, np.negative(w))
+        i, j = np.nonzero(w)
+        i, j = i[i < j], j[i < j]
+        self._adopt(labels, i.astype(np.int32), j.astype(np.int32), w[i, j])
 
-    def _adopt(self, labels: tuple[str, ...], lap: np.ndarray) -> None:
-        """Keep ``lap``, an unshared -W, as the Laplacian: fill in the degrees."""
-        # -W's row sums are W's negated bit for bit; subtracting them from
-        # +0.0 keeps an isolated vertex's degree +0.0
-        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
-        lap.setflags(write=False)
-        self.labels = labels
-        self._laplacian = lap
+    def _adopt(self, labels: tuple[str, ...], *edges: np.ndarray) -> None:
+        """Keep new int32 ``i < j``, in row-major order, and float64 ``w``."""
+        for a in edges:
+            a.setflags(write=False)
+        self.labels, self.edge_arrays = labels, edges
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
     @property
-    def weights(self) -> np.ndarray:
-        """The weight matrix W, read-only; a new n x n array on every access."""
-        w = np.negative(self._laplacian)
-        np.fill_diagonal(w, 0.0)
-        w.setflags(write=False)
-        return w
-
-    @cached_property
     def num_edges(self) -> int:
         """Number of vertex pairs with positive weight."""
-        # L is symmetric and nonzero off the diagonal exactly at the edges,
-        # so each pair is counted twice
-        lap = self._laplacian
-        return (np.count_nonzero(lap) - np.count_nonzero(np.diagonal(lap))) // 2
+        return int(self.edge_arrays[2].size)
 
-    @cached_property
+    @property
     def total_weight(self) -> float:
         """Sum of edge weights, each unordered pair counted once."""
-        # subtracted from +0.0, so an edgeless graph gives +0.0, not -0.0
-        return 0.0 - float(np.triu(self._laplacian, 1).sum())
+        return float(self.edge_arrays[2].sum())
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight matrix W, read-only; a new n x n array on every access."""
+        i, j, w = self.edge_arrays
+        full = np.zeros((self.num_vertices,) * 2, dtype=np.float64)
+        full[i, j] = full[j, i] = w
+        full.setflags(write=False)
+        return full
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        d = np.diagonal(self._laplacian).copy()
-        d.setflags(write=False)
-        return d
+    def _laplacian(self) -> np.ndarray:
+        # W negated in place, so a non-edge holds -0.0; its row sums
+        # subtracted from +0.0 keep an isolated vertex's degree +0.0
+        lap = self.weights
+        lap.setflags(write=True)  # a new array that owns its memory
+        np.negative(lap, out=lap)
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+        lap.setflags(write=False)
+        return lap
 
     def laplacian(self) -> np.ndarray:
         """Graph Laplacian: degrees on the diagonal, negated weights elsewhere.
 
-        The stored read-only array itself, not a copy.
+        Built on the first call; every call returns that read-only array.
         """
         return self._laplacian
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield ``(i, j, weight)`` with ``i < j`` for every positive-weight edge."""
-        # row by row, so no temporary grows with n^2 or with the edge count
-        for i, row in enumerate(self._laplacian):
-            for j in (np.flatnonzero(row[i + 1:]) + (i + 1)).tolist():
-                yield i, j, -float(row[j])
+        """``(i, j, weight)`` with ``i < j`` for every edge, in row-major order."""
+        i, j, w = self.edge_arrays
+        # lazily, so nothing grows with the edge count but what the caller keeps
+        return zip(map(int, i), map(int, j), map(float, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +180,7 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     order, have their weights summed. Self-loop lines are dropped with a
     warning, though their vertex is kept. Vertices are indexed by first
     appearance. A graph of more than :data:`MAX_VERTICES` vertices is
-    refused with a :class:`UsageError` before its weight matrix is allocated.
+    refused with a :class:`UsageError`.
 
     Args:
         source: path, or an open text/binary stream of UTF-8 content.
@@ -236,17 +237,12 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
         raise UsageError(
             f"graph has {n} vertices, above the limit of {MAX_VERTICES}; "
             f"one dense n x n array would take {8 * n * n:,} bytes")
-    w = np.zeros((n, n), dtype=np.float64)
-    rows, cols = np.array(list(pair_weights), dtype=np.intp).reshape(-1, 2).T
-    weights = np.fromiter(pair_weights.values(), dtype=np.float64,
-                          count=len(pair_weights))
-    w[rows, cols] = weights
-    w[cols, rows] = weights
-    # W is valid by construction, so it becomes L in place. No second n x n
-    # array is made and none is freed: after freeing one, glibc serves later
-    # n x n temporaries from its heap, where they stay resident once freed
+    pairs = sorted(pair_weights)  # (i, j) with i < j, so row-major
+    i, j = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    w = np.fromiter(map(pair_weights.__getitem__, pairs), dtype=np.float64,
+                    count=len(pairs))
     g = WeightedGraph.__new__(WeightedGraph)
-    g._adopt(tuple(sorted(index, key=index.__getitem__)), np.negative(w, out=w))
+    g._adopt(tuple(sorted(index, key=index.__getitem__)), i, j, w)
     return g
 
 
@@ -285,33 +281,25 @@ class ClusterSummaryGraph:
         return len(self.nodes)
 
 
-def _onehot(assign: np.ndarray, k: int) -> np.ndarray:
-    z = np.zeros((assign.size, k), dtype=np.float64)
-    z[np.arange(assign.size), assign] = 1.0
-    return z
-
-
 def _cluster_blocks(g: WeightedGraph, p: Partition,
                     weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The ids of the clusters that hold vertices, ascending, and their sums.
 
-    Entry (a, b) of the block sums w[i, j] over i in cluster ``ids[a]`` and
-    j in cluster ``ids[b]``, or counts the edges if not weighted. An empty
-    cluster would add only zeros, so the block is at most n x n whatever
-    ``p.k`` is.
+    Entry (a, b) of the block sums W[i, j] over i in cluster ``ids[a]`` and
+    j in cluster ``ids[b]`` in edge order, or counts the edges if not
+    weighted. An empty cluster would add only zeros, so the block is at most
+    n x n whatever ``p.k`` is.
     """
     if p.num_vertices != g.num_vertices:
         raise ValueError(f"partition covers {p.num_vertices} vertices, "
                          f"graph has {g.num_vertices}")
     ids = np.flatnonzero(p.sizes())
-    if weighted:
-        w = g.weights
-    else:
-        # 1 exactly where L < 0, at the edges, written straight into floats
-        lap = g.laplacian()
-        w = np.less(lap, 0.0, out=np.empty_like(lap))
-    z = _onehot(np.searchsorted(ids, p.assignment), ids.size)
-    return ids, z.T @ w @ z
+    c = np.searchsorted(ids, p.assignment)
+    i, j, w = g.edge_arrays
+    # each edge once, as (c[i], c[j]), then mirrored: exactly symmetric
+    half = np.bincount(c[i] * ids.size + c[j], w if weighted else None,
+                       minlength=ids.size ** 2).reshape(ids.size, ids.size)
+    return ids, half + half.T
 
 
 def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
@@ -327,10 +315,6 @@ def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
     intra[ids] = np.diagonal(block)
     nodes = tuple(SummaryNode(c, int(sizes[c]), float(intra[c]) / 2.0)
                   for c in range(p.k))
-    edges = []
-    for a in range(ids.size):
-        for b in range(a + 1, ids.size):
-            if block[a, b] > 0:
-                edges.append(SummaryEdge(int(ids[a]), int(ids[b]),
-                                         float(block[a, b])))
-    return ClusterSummaryGraph(nodes, tuple(edges))
+    edges = tuple(SummaryEdge(int(ids[a]), int(ids[b]), float(block[a, b]))
+                  for a, b in zip(*np.nonzero(np.triu(block, 1))))
+    return ClusterSummaryGraph(nodes, edges)

@@ -469,10 +469,8 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pos = lo + rng.random((n, 2)) * (hi - lo)
 
-    edge_list = list(g.edges())
-    edges = np.array([(i, j) for i, j, _ in edge_list],
-                     dtype=np.int64).reshape(-1, 2)
-    weights = np.array([w for _, _, w in edge_list], dtype=np.float64)
+    i, j, weights = g.edge_arrays
+    edges = np.stack((i, j), axis=1)
     norm_w = weights / weights.max() if weights.size else weights
 
     groups = [np.flatnonzero(unit_of == u) for u in range(grid.num_units)]

@@ -120,6 +120,17 @@ class KernelMatrix:
         # or aliased
         if not isinstance(src, (list, tuple)) and np.may_share_memory(a, src):
             a = a.copy()
+        self._settle(a)
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, beta: float) -> KernelMatrix:
+        """A kernel that takes over ``matrix``, a new array no caller holds."""
+        kern = cls.__new__(cls)
+        object.__setattr__(kern, "beta", beta)
+        kern._settle(_checked_symmetric(matrix, "kernel matrix"))
+        return kern
+
+    def _settle(self, a: np.ndarray) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         if self.beta is not None:
@@ -203,9 +214,9 @@ class _FeatureSpace:
 def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     """Diffusion kernel exp(-beta * L) of a graph Laplacian.
 
-    Computed through the full eigendecomposition, which validates L, by
-    exponentiating the spectrum; :class:`KernelMatrix` symmetrizes the
-    result. At beta = 0 the kernel is the identity and no eigensolve runs.
+    Computed through the full eigendecomposition, which validates L, as
+    S S^T with S = V exp(-beta Lambda / 2), which numpy returns exactly
+    symmetric. At beta = 0 the kernel is the identity and no eigensolve runs.
     A beta that zeroes every mode above L's null space raises UsageError.
     Because L annihilates the constant vector, every row of the result sums
     to 1; because the exponentiated spectrum is positive, the result is
@@ -216,7 +227,7 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
         raise UsageError(f"beta must be a finite nonnegative real, got {beta!r}")
     if b == 0.0:
         lap = _checked_symmetric(laplacian, "laplacian")
-        return KernelMatrix(np.eye(lap.shape[0]), beta=0.0)
+        return KernelMatrix._adopt(np.eye(lap.shape[0]), 0.0)
     decomp = eigendecompose_symmetric(laplacian)
     lam = decomp.eigenvalues
     with np.errstate(over="ignore"):
@@ -228,10 +239,10 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
                          "exp(-beta * lambda) vanishes on every non-null mode "
                          "of the Laplacian, or overflows on rounding noise "
                          "in its zero eigenvalues")
-    v = decomp.eigenvectors
-    k = (v * damped) @ v.T
-    del decomp, v  # so the kernel is symmetrized without the eigenvectors
-    return KernelMatrix(k, beta=b)
+    # the column signs fixed by the eigensolve cancel in S S^T
+    s = decomp.eigenvectors
+    s *= np.exp(-b * lam / 2.0)
+    return KernelMatrix._adopt(s @ s.T, b)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from graphsom import ParseError, Partition, UsageError, WeightedGraph, load_edge_list, \
     summary_graph
+from graphsom.graph import _cluster_blocks
 from graphgen import complete_graph, from_weights, path_graph, random_graph, two_cliques
 
 
@@ -16,7 +17,7 @@ class TestWeightedGraph:
         assert g.num_edges == 2
         assert g.total_weight == 2.0
         assert g.labels == ("v0", "v1", "v2")
-        np.testing.assert_array_equal(g.degrees, [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(np.diagonal(g.laplacian()), [1.0, 2.0, 1.0])
 
     def test_weights_read_only(self):
         g = path_graph(3)
@@ -72,12 +73,12 @@ class TestLaplacian:
             n = int(rng.integers(2, 40))
             g = random_graph(n, rng=rng)
             lap = g.laplacian()
-            max_deg = g.degrees.max()
+            max_deg = np.diagonal(lap).max()
             assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * max(max_deg, 1.0)
 
     def test_diagonal_is_degrees(self):
         g = random_graph(15, rng=3)
-        np.testing.assert_array_equal(np.diagonal(g.laplacian()), g.degrees)
+        assert np.diagonal(g.laplacian()).tobytes() == g.weights.sum(axis=1).tobytes()
 
     def test_positive_semidefinite_quadform(self):
         rng = np.random.default_rng(11)
@@ -86,6 +87,57 @@ class TestLaplacian:
         for _ in range(10):
             x = rng.normal(size=12)
             assert x @ lap @ x >= -1e-10
+
+
+def dense_laplacian(w):
+    """L as the graph built it while it held L: W negated, then the diagonal
+    filled with 0.0 minus the row sums of -W."""
+    lap = np.negative(w)
+    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+    return lap
+
+
+class TestLaplacianBytes:
+    """L is built from the edge list with the bytes it had when built from W."""
+
+    @pytest.mark.parametrize("g", [
+        path_graph(7), complete_graph(6, weight=0.3), two_cliques(4, bridge=0.5),
+        random_graph(30, rng=2), random_graph(40, density=0.05, rng=3),
+    ], ids=["path", "complete", "two cliques", "random", "sparse"])
+    def test_built_graphs(self, g):
+        assert g.laplacian().tobytes() == dense_laplacian(np.array(g.weights)).tobytes()
+
+    def test_loaded_edge_list(self):
+        text = "a\tb\t1.5\nb\tc\t0.25\nb\ta\t2.5\nlone\tlone\nc\ta\t0.1\na\tc\t0.7\n"
+        with pytest.warns(UserWarning, match="self-loop"):
+            g = load_edge_list(io.StringIO(text))
+        assert g.labels == ("a", "b", "c", "lone")
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.5 + 2.5
+        w[1, 2] = w[2, 1] = 0.25
+        w[0, 2] = w[2, 0] = 0.1 + 0.7
+        lap = g.laplacian()
+        assert lap.tobytes() == dense_laplacian(w).tobytes()
+        # a non-edge is -0.0 and the isolated vertex's degree +0.0
+        assert np.signbit(lap[0, 3]) and not np.signbit(lap[3, 3])
+        assert list(g.edges()) == [(0, 1, 4.0), (0, 2, 0.1 + 0.7), (1, 2, 0.25)]
+
+
+class TestClusterBlocks:
+    @pytest.mark.parametrize("g", [random_graph(40, rng=9), complete_graph(12, weight=0.3)],
+                             ids=["random", "complete"])
+    def test_match_the_dense_products(self, g):
+        n = g.num_vertices
+        p = Partition(np.random.default_rng(1).integers(0, 6, n), 8)
+        ids, weighted = _cluster_blocks(g, p)
+        _, counts = _cluster_blocks(g, p, weighted=False)
+        np.testing.assert_array_equal(ids, np.unique(p.assignment))
+        z = np.zeros((n, ids.size))
+        z[np.arange(n), np.searchsorted(ids, p.assignment)] = 1.0
+        w = g.weights
+        np.testing.assert_array_equal(counts, z.T @ (w > 0) @ z)
+        np.testing.assert_allclose(weighted, z.T @ w @ z, rtol=1e-12, atol=0)
+        assert (weighted == weighted.T).all()
 
 
 def weight_matrices():
@@ -99,7 +151,7 @@ def weight_matrices():
 
 
 class TestDerivedFromLaplacian:
-    """The graph keeps only L; everything it reports is what W gave."""
+    """The graph keeps only its edges; everything it reports is what W gave."""
 
     @pytest.mark.parametrize("name", list(weight_matrices()))
     def test_matches_the_weight_formulas(self, name):
@@ -111,9 +163,9 @@ class TestDerivedFromLaplacian:
                  for j in range(i + 1, len(w)) if w[i, j]]
         assert g.weights.tobytes() == w.tobytes()
         assert g.laplacian().tobytes() == lap.tobytes()
-        assert g.degrees.tobytes() == w.sum(axis=1).tobytes()
         assert g.num_edges == np.count_nonzero(w) // 2
-        assert g.total_weight == float(np.triu(w, 1).sum())
+        # summed in edge order
+        assert g.total_weight == float(np.array([e[2] for e in edges]).sum())
         assert list(g.edges()) == edges
 
     @pytest.mark.parametrize("name", ["edgeless", "single vertex"])
@@ -136,6 +188,7 @@ class TestDerivedFromLaplacian:
         assert g.laplacian().tobytes() == expected.laplacian().tobytes()
         assert g.weights.tobytes() == full.tobytes()
         assert g.total_weight == expected.total_weight
+        assert list(g.edges()) == list(expected.edges())
 
     def test_weights_are_new_and_read_only(self):
         g = path_graph(4)
@@ -184,7 +237,7 @@ class TestLoadEdgeList:
         with pytest.warns(UserWarning):
             g = self.load("a\ta\nb\tc\n")
         assert g.labels == ("a", "b", "c")
-        assert g.degrees[0] == 0.0
+        assert np.diagonal(g.laplacian())[0] == 0.0
 
     def test_bad_field_count(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -220,6 +273,7 @@ class TestLoadEdgeList:
             i, j = index[f"v{a}"], index[f"v{b}"]
             expected[i, j] = expected[j, i] = weight
         assert g.weights.tobytes() == expected.tobytes()
+        assert g.laplacian().tobytes() == dense_laplacian(expected).tobytes()
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty"):

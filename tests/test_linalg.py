@@ -32,7 +32,7 @@ def bounded_laplacian(n, beta, rng, spectral_cap=5.0):
     """
     g = random_graph(n, density=0.4, rng=rng, max_weight=1.0)
     lap = g.laplacian()
-    bound = 2.0 * float(g.degrees.max()) * beta
+    bound = 2.0 * float(np.diagonal(lap).max()) * beta
     if bound > spectral_cap:
         lap = lap * (spectral_cap / bound)
     return lap

@@ -1,8 +1,8 @@
-"""The dense working set of the graph, the eigensolve, the heat kernel and the report.
+"""The dense working set of the graph, the eigensolve, the heat kernel and the commands.
 
-graphsom holds L and K as dense n x n float64 arrays, and derives W from L
-only for a moment where it is needed, so a command's memory is a count of
-live n x n arrays. These tests pin that count: peaks
+A graph holds its edge list; only ``cluster`` builds dense n x n float64
+arrays (L, the eigenvectors and K), so its memory is a count of live n x n
+arrays, and ``stats`` and ``layout`` hold none. These tests pin both: peaks
 are traced with tracemalloc, net of what is held before the call, and
 measured in units of one n x n float64 array (8 n^2 bytes). LAPACK's own
 workspace inside ``eigh`` is allocated outside Python's tracing and is not
@@ -15,10 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsom import Partition
+from graphsom import Partition, load_edge_list
 from graphsom.cluster import q_modularity
 from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
-from graphsom.pipeline import report_document
+from graphsom.pipeline import RunConfig, report_document, run_cluster, run_layout, \
+    run_stats
 from graphgen import complete_graph, from_weights, path_graph, random_graph
 
 N = 300
@@ -67,19 +68,21 @@ def warm_up():
 class TestTracedPeak:
     # Measured at n=300: the eigensolve holds its eigenvectors and |V| for
     # the sign rule (2.1 arrays; 4.0 when it copied and averaged an exactly
-    # symmetric input); the heat kernel holds V, V*d and
-    # K (3.0; 5.0 when it kept the decomposition and copied K twice). A
-    # kernel built from nested lists holds the one converted array (1.2;
-    # 3.0 when it converted, then averaged). The edge list of a sparse graph
-    # holds only its rows (0.2; 1.3 with triu(W)), and that of a complete
-    # graph is mostly its Python tuples (6.6; 8.6 with triu(W)).
+    # symmetric input); the heat kernel holds the eigensolve's peak, then
+    # S = V e^(-beta Lambda / 2) and K = S S^T (2.2; 3.0 with V, V*d and K
+    # plus K's copy, 5.0 when it also kept the decomposition). A kernel
+    # built from nested lists holds the one converted array (1.2; 3.0 when
+    # it converted, then averaged). Listing the edges of a sparse graph
+    # holds its tuples (0.2; 1.3 with triu(W)), and those of a complete
+    # graph, whose edge arrays alone take one array, mostly its Python
+    # tuples (6.4; 6.6 row by row from L, 8.6 with triu(W)).
     def test_eigendecomposition(self):
         lap = graph().laplacian()
         assert peak_arrays(lambda: eigendecompose_symmetric(lap)) <= 2.5
 
     def test_heat_kernel(self):
         lap = graph().laplacian()
-        assert peak_arrays(lambda: heat_kernel(lap, 0.05)) <= 3.5
+        assert peak_arrays(lambda: heat_kernel(lap, 0.05)) <= 2.5
 
     def test_kernel_matrix_from_lists(self):
         rows = heat_kernel(graph().laplacian(), 0.05).matrix.tolist()
@@ -91,38 +94,86 @@ class TestTracedPeak:
 
     def test_edges_of_complete_graph(self):
         g = complete_graph(N)
+        assert sum(a.nbytes for a in g.edge_arrays) == 16 * g.num_edges
         assert peak_arrays(lambda: list(g.edges())) <= 7.5
 
-    # Measured at n=300: a graph with its Laplacian, degrees and edge totals
-    # in hand holds 1.0 arrays (2.0 when it kept W and built L per call).
-    # The report on a graph built inside the call peaks at 2.1: L plus one
-    # temporary for the block sums (2.1 as well when it held W).
-    def test_graph_holds_only_its_laplacian(self):
+    # Measured at n=300: a graph with its edge totals in hand holds 0.08
+    # arrays, its 16 bytes an edge and its labels (1.0 when it held L, 2.0
+    # when it kept W and built L per call), and its Laplacian adds one
+    # array, built once. The report on a graph built inside the call peaks at 0.25, from
+    # checking the caller's W (2.1 when it held L and summed clusters over
+    # W).
+    def test_graph_holds_its_edges_and_one_laplacian(self):
         def build():
             w = weights()
             g = from_weights(w)
             del w
-            lap = g.laplacian()
-            _ = g.degrees, g.num_edges, g.total_weight  # cached on the graph
-            return g, lap
+            _ = g.num_edges, g.total_weight
+            return g
 
         held, _ = traced(build)
-        assert held / (8.0 * N * N) <= 1.2
+        assert held / (8.0 * N * N) <= 0.1
+        g = graph()
+        held, _ = traced(g.laplacian)
+        assert 1.0 <= held / (8.0 * N * N) <= 1.05
 
     def test_laplacian_allocates_nothing(self):
         g = graph()
+        # built by the first call, then kept
         assert g.laplacian() is g.laplacian()
         assert peak_arrays(g.laplacian) <= 0.01
 
     def test_report_on_a_new_graph(self):
         w = weights()
         part = Partition(np.arange(N) % 7, 7)
-        assert peak_arrays(lambda: report_document(from_weights(w), part, {})) <= 2.5
+        assert peak_arrays(lambda: report_document(from_weights(w), part, {})) <= 0.5
 
     def test_cluster_blocks_grow_with_vertices_not_cluster_ids(self):
         g = path_graph(8)
         part = Partition(np.arange(8) % 3, 3000)
         assert traced(lambda: q_modularity(g, part))[1] < 1_000_000
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """An edge list of the test graph, a 7-cluster partition and a 3x3 map
+    of it, each command already run once."""
+    d = tmp_path_factory.mktemp("commands")
+    g = graph()
+    (d / "graph.tsv").write_text(
+        "".join(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in g.edges()),
+        encoding="utf-8")
+    run_cluster(RunConfig(input=d / "graph.tsv", method="spectral", seed=0,
+                          out=d / "part.json", k=7))
+    run_cluster(RunConfig(input=d / "graph.tsv", method="spectral-som", seed=0,
+                          out=d / "map.json", grid=(3, 3), epochs=5))
+    inputs = {"graph": d / "graph.tsv", "partition": d / "part.json",
+              "model": d / "map.json", "svg": d / "out.svg", "dot": d / "out.dot"}
+    for call in command_calls(inputs).values():
+        call()
+    return inputs
+
+
+def command_calls(inputs):
+    return {
+        "stats": lambda: run_stats(inputs["graph"], inputs["partition"]),
+        "summary": lambda: run_layout("summary", inputs["graph"],
+                                      partition_path=inputs["partition"],
+                                      svg_path=inputs["svg"], dot_path=inputs["dot"]),
+        "map": lambda: run_layout("map", inputs["graph"], model_path=inputs["model"],
+                                  svg_path=inputs["svg"]),
+    }
+
+
+# Measured at n=300: the parser's Python objects, about 190 bytes per edge
+# line, set every command's peak at 0.58 arrays; stats and the summary and
+# map layouts add nothing above it (1.1 to 1.2 each when every graph held L
+# and summed clusters over W or a dense 0/1 mask).
+@pytest.mark.parametrize("command", ["stats", "summary", "map"])
+def test_command_holds_no_dense_array(command_inputs, command):
+    parsing = peak_arrays(lambda: load_edge_list(command_inputs["graph"]))
+    assert parsing <= 0.7
+    assert peak_arrays(command_calls(command_inputs)[command]) <= parsing + 0.1
 
 
 class TestCallerArrays:
