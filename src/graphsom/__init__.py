@@ -10,8 +10,8 @@ import importlib
 # submodule -> the public names it defines
 _HOMES = {
     "errors": ("NumericalError", "ParseError", "UsageError"),
-    "graph": ("WeightedGraph", "Partition", "SummaryNode", "SummaryEdge",
-              "ClusterSummaryGraph", "load_edge_list", "summary_graph"),
+    "graph": ("WeightedGraph", "Partition", "ClusterSummaryGraph",
+              "load_edge_list", "summary_graph"),
     "linalg": ("EigenDecomposition", "KernelMatrix", "eigendecompose_symmetric",
                "heat_kernel", "spectral_embedding"),
     "cluster": ("KMeansResult", "PartitionStats", "kmeans", "kernel_kmeans",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .graph import Partition, WeightedGraph, _cluster_blocks
+from .graph import Partition, WeightedGraph, _edge_clusters
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
 __all__ = [
@@ -213,12 +213,17 @@ def q_modularity(g: WeightedGraph, p: Partition, *, weighted: bool = True) -> fl
     when clusters cut more weight than they keep. With ``weighted=False``
     every edge counts 1 regardless of weight.
     """
-    _, block = _cluster_blocks(g, p, weighted)
-    double_total = float(block.sum())  # every edge counted twice
+    ci, cj, w = _edge_clusters(g, p)
+    if not weighted:
+        w = np.ones(w.size)
+    inside = ci == cj
+    # each edge counts at both of its ends, so the total counts it twice
+    touching = np.bincount(ci, w, p.k) + np.bincount(cj, w, p.k)
+    double_total = float(touching.sum())
     if double_total <= 0.0:
         raise ValueError("q-modularity is undefined for an edgeless graph")
-    within = np.diagonal(block) / double_total
-    touching = block.sum(axis=1) / double_total
+    within = 2.0 * np.bincount(ci[inside], w[inside], p.k) / double_total
+    touching /= double_total
     return float((within - touching ** 2).sum())
 
 

@@ -2,8 +2,10 @@
 
 The graph is undirected with symmetric nonnegative weights and no self-loops.
 It is held as its edge list, 16 bytes per edge: totals, modularity, the
-cluster summary graph and the drawings are sums over edges. Only the
-clusterings see an n x n array, the dense Laplacian, built on first use.
+cluster summary graph and the drawings are sums over edges. A sum per
+cluster or per cluster pair is a ``bincount`` over the edges' cluster ids,
+O(m + k) for m edges and k clusters. Only the clusterings see an n x n
+array, the dense Laplacian, built on first use.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .errors import ParseError, UsageError
 __all__ = [
     "WeightedGraph",
     "Partition",
-    "SummaryNode",
-    "SummaryEdge",
     "ClusterSummaryGraph",
     "load_edge_list",
     "summary_graph",
@@ -170,6 +170,15 @@ def read_text(source: str | os.PathLike | IO) -> str:
         raise ParseError(f"cannot read {source}: {exc}") from exc
 
 
+def _tab_rows(source: str | os.PathLike | IO) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tab-separated fields)`` of each line of a UTF-8 source
+    that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(read_text(source).splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line.split("\t")
+
+
 def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     """Read a tab-separated edge list into a :class:`WeightedGraph`.
 
@@ -185,15 +194,9 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     Args:
         source: path, or an open text/binary stream of UTF-8 content.
     """
-    text = read_text(source)
-
     index: dict[str, int] = {}
     pair_weights: dict[tuple[int, int], float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.rstrip("\r\n").split("\t")
+    for lineno, parts in _tab_rows(source):
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}",
                              lineno)
@@ -246,60 +249,40 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
     return g
 
 
-@dataclass(frozen=True)
-class SummaryNode:
-    """One cluster glyph: its id, vertex count, and internal edge weight."""
-
-    cluster: int
-    vertex_count: int
-    intra_weight: float
-
-
-@dataclass(frozen=True)
-class SummaryEdge:
-    """Total weight between two clusters, stored once with ``a < b``."""
-
-    a: int
-    b: int
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterSummaryGraph:
-    """One node per cluster, one edge per connected cluster pair.
+    """One node per cluster id, one edge per connected cluster pair.
 
-    Built by :func:`summary_graph`, which orders nodes by cluster id and
-    stores each edge once with ``a < b`` and a positive weight; the scene
-    built from it checks what is drawn.
+    Four read-only arrays: ``sizes`` (k,) holds each cluster's vertex count
+    and ``intra`` (k,) its internal weight; ``edges`` (E, 2) holds each
+    connected pair of clusters once, with ``a < b``, in ascending order, and
+    ``weights`` (E,) the positive weight summed over the edges between them.
+    Built by :func:`summary_graph`; the scene built from it checks what is
+    drawn.
     """
 
-    nodes: tuple[SummaryNode, ...]
-    edges: tuple[SummaryEdge, ...]
+    sizes: np.ndarray
+    intra: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.sizes, self.intra, self.edges, self.weights):
+            a.setflags(write=False)
 
     @property
     def num_clusters(self) -> int:
-        return len(self.nodes)
+        return int(self.sizes.size)
 
 
-def _cluster_blocks(g: WeightedGraph, p: Partition,
-                    weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the clusters that hold vertices, ascending, and their sums.
-
-    Entry (a, b) of the block sums W[i, j] over i in cluster ``ids[a]`` and
-    j in cluster ``ids[b]`` in edge order, or counts the edges if not
-    weighted. An empty cluster would add only zeros, so the block is at most
-    n x n whatever ``p.k`` is.
-    """
+def _edge_clusters(g: WeightedGraph,
+                   p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(c[i], c[j], w)``: the cluster ids of each edge's ends, and its weight."""
     if p.num_vertices != g.num_vertices:
         raise ValueError(f"partition covers {p.num_vertices} vertices, "
                          f"graph has {g.num_vertices}")
-    ids = np.flatnonzero(p.sizes())
-    c = np.searchsorted(ids, p.assignment)
     i, j, w = g.edge_arrays
-    # each edge once, as (c[i], c[j]), then mirrored: exactly symmetric
-    half = np.bincount(c[i] * ids.size + c[j], w if weighted else None,
-                       minlength=ids.size ** 2).reshape(ids.size, ids.size)
-    return ids, half + half.T
+    return p.assignment[i], p.assignment[j], w
 
 
 def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
@@ -307,14 +290,19 @@ def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
 
     Node ``c`` carries the vertex count and intra-cluster weight of cluster
     ``c``; an edge joins clusters ``c != c'`` with the summed weight of all
-    crossing edges, omitted when that sum is zero.
+    crossing edges, omitted when that sum is zero. Every array grows with
+    the edge count and k, never with k squared.
     """
-    ids, block = _cluster_blocks(g, p)
-    sizes = p.sizes()
-    intra = np.zeros(p.k)
-    intra[ids] = np.diagonal(block)
-    nodes = tuple(SummaryNode(c, int(sizes[c]), float(intra[c]) / 2.0)
-                  for c in range(p.k))
-    edges = tuple(SummaryEdge(int(ids[a]), int(ids[b]), float(block[a, b]))
-                  for a, b in zip(*np.nonzero(np.triu(block, 1))))
-    return ClusterSummaryGraph(nodes, edges)
+    ci, cj, w = _edge_clusters(g, p)
+    inside = ci == cj
+    # astype: a bincount over no keys (no internal or no crossing edge) is int64
+    intra = np.bincount(ci[inside], w[inside], p.k).astype(np.float64)
+    ci, cj, w = ci[~inside], cj[~inside], w[~inside]
+    pairs, at = np.unique(np.minimum(ci, cj) * p.k + np.maximum(ci, cj),
+                          return_inverse=True)
+    # each direction is summed on its own in edge order, then the two are
+    # added: summary drawings and DOT files depend on this order to the bit
+    half = np.bincount(2 * at + (ci > cj), w, 2 * pairs.size).astype(np.float64)
+    return ClusterSummaryGraph(p.sizes(), intra,
+                               np.column_stack(np.divmod(pairs, p.k)),
+                               half[0::2] + half[1::2])

@@ -366,11 +366,7 @@ def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
         raise UsageError(f"iterations must be at least 1, got {iterations}")
     if frame.width <= 0 or frame.height <= 0:
         raise ValueError("frame must have positive width and height")
-    nodes = sg.nodes
-    n = len(nodes)
-    edges = np.array([(e.a, e.b) for e in sg.edges], dtype=np.int64).reshape(-1, 2)
-    weights = np.array([e.weight for e in sg.edges], dtype=np.float64)
-
+    n = sg.num_clusters
     if n == 1:
         pos = np.array([frame.center], dtype=np.float64)
     else:
@@ -378,24 +374,30 @@ def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
         origin = np.array([frame.x, frame.y])
         span = np.array([frame.width, frame.height])
         pos = origin + rng.random((n, 2)) * span
+        weights = sg.weights
         norm_w = weights / weights.max() if weights.size else weights
         lo = np.array([frame.x, frame.y])
         hi = np.array([frame.x1, frame.y1])
-        pos = _anneal(pos, edges, norm_w, iterations,
+        pos = _anneal(pos, sg.edges, norm_w, iterations,
                       k=float(np.sqrt(frame.area / n)), lo=lo, hi=hi,
                       temp0=frame.diagonal / 10.0,
                       repulsion_groups=[np.arange(n)])
+    return _summary_scene(sg, pos, frame)
 
-    counts = np.array([nd.vertex_count for nd in nodes], dtype=np.int64)
+
+def _summary_scene(sg: ClusterSummaryGraph, pos: np.ndarray, frame: Rect,
+                   **cells) -> LayoutScene:
+    """One glyph per cluster at ``pos``, sized by its vertex count."""
     return LayoutScene(
         positions=pos,
-        radii=_summary_radii(counts, frame),
-        edges=edges,
-        edge_widths=_normalized_widths(weights),
+        radii=_summary_radii(sg.sizes, frame),
+        edges=sg.edges,
+        edge_widths=_normalized_widths(sg.weights),
         frame=frame,
-        item_labels=tuple(str(nd.cluster) for nd in nodes),
-        item_groups=np.arange(n),
-        group_sizes=counts,
+        item_labels=tuple(map(str, range(sg.num_clusters))),
+        item_groups=np.arange(sg.num_clusters),
+        group_sizes=sg.sizes,
+        **cells,
     )
 
 
@@ -415,28 +417,16 @@ def som_map_scene(model: SomModel, sg: ClusterSummaryGraph) -> LayoutScene:
     full frame lines up with the cells.
     """
     part = som_partition(model)
-    counts = np.array([nd.vertex_count for nd in sg.nodes], dtype=np.int64)
-    if sg.num_clusters != part.k or not np.array_equal(counts, part.sizes()):
+    if sg.num_clusters != part.k or not np.array_equal(sg.sizes, part.sizes()):
         raise ValueError("summary clusters do not match the map's nonempty units")
     coords = part.params["unit_coords"]
     frame, cells = _grid_frame_and_cells(model.grid)
     pos = np.array([[(c + 0.5) * CELL_SIDE, (r + 0.5) * CELL_SIDE]
                     for r, c in coords], dtype=np.float64)
-    edges = np.array([(e.a, e.b) for e in sg.edges], dtype=np.int64).reshape(-1, 2)
-    weights = np.array([e.weight for e in sg.edges], dtype=np.float64)
-    return LayoutScene(
-        positions=pos,
-        radii=_summary_radii(counts, frame),
-        edges=edges,
-        edge_widths=_normalized_widths(weights),
-        frame=frame,
-        item_labels=tuple(str(nd.cluster) for nd in sg.nodes),
-        item_groups=np.arange(sg.num_clusters),
-        group_sizes=counts,
-        cell_regions=cells,
+    return _summary_scene(
+        sg, pos, frame, cell_regions=cells,
         cell_of_item=np.array([r * model.grid.cols + c for r, c in coords],
-                              dtype=np.int64),
-    )
+                              dtype=np.int64))
 
 
 def constrained_full_layout(g: WeightedGraph, model: SomModel,

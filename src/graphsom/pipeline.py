@@ -20,7 +20,8 @@ from . import graph
 from .cluster import DEFAULT_RESTARTS, kernel_kmeans, partition_stats, q_modularity, \
     spectral_clustering
 from .errors import ParseError, UsageError
-from .graph import Partition, WeightedGraph, load_edge_list, read_text, summary_graph
+from .graph import Partition, WeightedGraph, _tab_rows, load_edge_list, read_text, \
+    summary_graph
 from .linalg import heat_kernel
 from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, batch_kernel_som, \
     default_radius, som_partition, spectral_som
@@ -374,17 +375,12 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
     undeclared keys are categorical. Values of numeric keys must parse as
     finite reals. Blank lines and ``#`` comments are skipped.
     """
-    text = read_text(source)
     numeric: set[str] = set()
     categorical: set[str] = set()
     records: dict[str, dict[str, float | str]] = {}
     saw_schema = False
     saw_data = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.rstrip("\r\n").split("\t")
+    for lineno, parts in _tab_rows(source):
         if parts[0] == "!schema":
             if saw_schema or saw_data:
                 raise ParseError("!schema must be the first content line",

@@ -151,14 +151,13 @@ def export_dot(obj, scene: LayoutScene | None = None) -> bytes:
             raise ValueError("scene does not match the summary graph")
         lines.append("graph clusters {")
         lines.append("  node [shape=circle];")
-        for i, node in enumerate(obj.nodes):
-            attrs = [f"vertices={node.vertex_count}",
-                     f"intra={_fmt(node.intra_weight)}"]
+        for c, (size, intra) in enumerate(zip(obj.sizes.tolist(), obj.intra.tolist())):
+            attrs = [f"vertices={size}", f"intra={_fmt(intra)}"]
             if scene is not None:
-                attrs.extend(_scene_node_attrs(scene, i))
-            lines.append(f"  {node.cluster} [{', '.join(attrs)}];")
-        for e in obj.edges:
-            lines.append(f"  {e.a} -- {e.b} [weight={_fmt(e.weight)}];")
+                attrs.extend(_scene_node_attrs(scene, c))
+            lines.append(f"  {c} [{', '.join(attrs)}];")
+        for (a, b), w in zip(obj.edges.tolist(), obj.weights.tolist()):
+            lines.append(f"  {a} -- {b} [weight={_fmt(w)}];")
     elif isinstance(obj, WeightedGraph):
         if scene is not None and scene.num_items != obj.num_vertices:
             raise ValueError("scene does not match the graph")

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from graphsom import ParseError, Partition, UsageError, WeightedGraph, load_edge_list, \
-    summary_graph
-from graphsom.graph import _cluster_blocks
+    q_modularity, summary_graph
 from graphgen import complete_graph, from_weights, path_graph, random_graph, two_cliques
 
 
@@ -123,21 +122,56 @@ class TestLaplacianBytes:
         assert list(g.edges()) == [(0, 1, 4.0), (0, 2, 0.1 + 0.7), (1, 2, 0.25)]
 
 
+def dense_q(block):
+    """q-modularity from a dense k x k block of cluster sums."""
+    total = block.sum()
+    return np.trace(block) / total - ((block.sum(axis=1) / total) ** 2).sum()
+
+
+def partitions(n):
+    """A random partition into ids 0..5 of 8, and one that also skips id 2."""
+    ids = np.random.default_rng(1).integers(0, 6, n)
+    return Partition(ids, 8), Partition(np.where(ids == 2, 5, ids), 8)
+
+
+CLUSTERED_GRAPHS = pytest.mark.parametrize(
+    "g", [random_graph(40, rng=9), complete_graph(12, weight=0.3)], ids=["random", "complete"])
+
+
 class TestClusterBlocks:
-    @pytest.mark.parametrize("g", [random_graph(40, rng=9), complete_graph(12, weight=0.3)],
-                             ids=["random", "complete"])
+    """Cluster sums over the edges equal the dense block products."""
+
+    @CLUSTERED_GRAPHS
     def test_match_the_dense_products(self, g):
         n = g.num_vertices
-        p = Partition(np.random.default_rng(1).integers(0, 6, n), 8)
-        ids, weighted = _cluster_blocks(g, p)
-        _, counts = _cluster_blocks(g, p, weighted=False)
-        np.testing.assert_array_equal(ids, np.unique(p.assignment))
-        z = np.zeros((n, ids.size))
-        z[np.arange(n), np.searchsorted(ids, p.assignment)] = 1.0
-        w = g.weights
-        np.testing.assert_array_equal(counts, z.T @ (w > 0) @ z)
-        np.testing.assert_allclose(weighted, z.T @ w @ z, rtol=1e-12, atol=0)
-        assert (weighted == weighted.T).all()
+        for p in partitions(n):
+            z = np.zeros((n, p.k))
+            z[np.arange(n), p.assignment] = 1.0
+            w = g.weights
+            weighted, counts = z.T @ w @ z, z.T @ (w > 0) @ z
+            s = summary_graph(g, p)
+            np.testing.assert_array_equal(s.sizes, z.sum(axis=0))
+            np.testing.assert_allclose(s.intra, np.diagonal(weighted) / 2.0,
+                                       rtol=1e-12, atol=0)
+            a, b = np.nonzero(np.triu(weighted, 1))
+            np.testing.assert_array_equal(s.edges, np.column_stack([a, b]))
+            np.testing.assert_allclose(s.weights, weighted[a, b], rtol=1e-12, atol=0)
+            assert q_modularity(g, p) == pytest.approx(dense_q(weighted), abs=1e-13)
+            assert q_modularity(g, p, weighted=False) == pytest.approx(dense_q(counts),
+                                                                       abs=1e-13)
+
+    @CLUSTERED_GRAPHS
+    def test_sum_each_direction_in_edge_order(self, g):
+        # bit for bit what the mirrored block half + half^T held
+        for p in partitions(g.num_vertices):
+            c = p.assignment
+            half = np.zeros((p.k, p.k))
+            for i, j, w in g.edges():
+                half[c[i], c[j]] += w
+            block = half + half.T
+            s = summary_graph(g, p)
+            assert s.intra.tobytes() == np.diagonal(half).tobytes()
+            assert s.weights.tobytes() == block[tuple(s.edges.T)].tobytes()
 
 
 def weight_matrices():
@@ -337,34 +371,36 @@ class TestSummaryGraph:
         p = Partition(np.array([0] * 4 + [1] * 4), 2)
         s = summary_graph(g, p)
         assert s.num_clusters == 2
-        assert sum(node.vertex_count for node in s.nodes) == 8
-        assert s.nodes[0].vertex_count == 4
-        assert s.nodes[0].intra_weight == 6.0  # K4 has 6 edges
-        assert s.nodes[1].intra_weight == 6.0
-        assert len(s.edges) == 1
-        assert (s.edges[0].a, s.edges[0].b, s.edges[0].weight) == (0, 1, 0.5)
+        assert s.sizes.tolist() == [4, 4]
+        assert s.intra.tolist() == [6.0, 6.0]  # K4 has 6 edges
+        assert s.edges.tolist() == [[0, 1]]
+        assert s.weights.tolist() == [0.5]
+        for a in (s.sizes, s.intra, s.edges, s.weights):
+            assert not a.flags.writeable
 
     def test_disconnected_clusters_get_no_edge(self):
         g = two_cliques(3)
         p = Partition(np.array([0] * 3 + [1] * 3), 2)
         s = summary_graph(g, p)
-        assert s.edges == ()
+        assert s.edges.shape == (0, 2)
+        assert s.weights.shape == (0,) and s.weights.dtype == np.float64
 
     def test_split_clique_inter_weight(self):
         # K4 split 2+2: each half has 1 internal edge, 4 edges cross
         g = complete_graph(4)
         p = Partition(np.array([0, 0, 1, 1]), 2)
         s = summary_graph(g, p)
-        assert s.nodes[0].intra_weight == 1.0
-        assert s.nodes[1].intra_weight == 1.0
-        assert s.edges[0].weight == 4.0
+        assert s.intra.tolist() == [1.0, 1.0]
+        assert s.weights.tolist() == [4.0]
 
     def test_empty_cluster_keeps_node(self):
         g = path_graph(3)
         p = Partition(np.array([0, 0, 2]), 3)
         s = summary_graph(g, p)
         assert s.num_clusters == 3
-        assert s.nodes[1].vertex_count == 0
+        assert s.sizes.tolist() == [2, 0, 1]
+        assert s.intra.tolist() == [1.0, 0.0, 0.0]
+        assert s.edges.tolist() == [[0, 2]]
 
     def test_size_mismatch(self):
         g = path_graph(3)
@@ -380,6 +416,5 @@ class TestSummaryGraph:
             k = int(rng.integers(1, 5))
             p = Partition(rng.integers(0, k, size=n), k)
             s = summary_graph(g, p)
-            total = sum(node.intra_weight for node in s.nodes)
-            total += sum(e.weight for e in s.edges)
+            total = s.intra.sum() + s.weights.sum()
             assert total == pytest.approx(g.total_weight, rel=1e-12)

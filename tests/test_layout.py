@@ -403,7 +403,7 @@ class TestForceDirectedLayout:
         g = random_graph(28, rng=4)
         sg = summary_graph(g, Partition(np.arange(28) % 4, 4))
         scene = force_directed_layout(sg, 10, Rect(0, 0, 100, 100), seed=0)
-        weights = np.array([e.weight for e in sg.edges])
+        weights = sg.weights
         assert scene.edge_widths.max() == pytest.approx(6.0, abs=1e-12)
         np.testing.assert_allclose(scene.edge_widths / scene.edge_widths[0],
                                    weights / weights[0], atol=1e-9)

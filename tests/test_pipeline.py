@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphsom.errors import ParseError, UsageError
+from graphsom.graph import load_edge_list
 from graphsom.pipeline import (
     ATTRIBUTE_SUMMARY_SCHEMA,
     PARTITION_SCHEMA,
@@ -311,6 +312,44 @@ class TestPartitionDocuments:
         np.testing.assert_array_equal(model.umatrix.values, [[0.1, 0.1]])
         with pytest.raises(ValueError, match="model.umatrix"):
             u_matrix(model, np.eye(2))
+
+
+class TestLineEndings:
+    """CRLF and bare-CR files parse exactly as LF files do."""
+
+    EDGES = ["# weighted ties", "a\tb\t2.5", "", "b\tc", "c\ta\t0.75"]
+    ATTRIBUTES = ["!schema\tdate:numeric", "# comment", "a\tdate\t1300",
+                  "", "a\tplace\tX", "b\tplace\tY"]
+
+    @staticmethod
+    def write(path, lines, newline):
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        return path
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_edge_list(self, tmp_path, newline):
+        lf = load_edge_list(self.write(tmp_path / "lf.tsv", self.EDGES, "\n"))
+        other = load_edge_list(self.write(tmp_path / "other.tsv", self.EDGES, newline))
+        assert other.labels == lf.labels == ("a", "b", "c")
+        for got, want in zip(other.edge_arrays, lf.edge_arrays):
+            assert got.tobytes() == want.tobytes()
+        bad = self.write(tmp_path / "bad.tsv", [*self.EDGES, "c\td\tx"], newline)
+        with pytest.raises(ParseError, match="line 6: unparseable weight 'x'$"):
+            load_edge_list(bad)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_attribute_table(self, tmp_path, newline):
+        lf = parse_attribute_table(self.write(tmp_path / "lf.tsv", self.ATTRIBUTES, "\n"))
+        other = parse_attribute_table(
+            self.write(tmp_path / "other.tsv", self.ATTRIBUTES, newline))
+        assert (other.numeric_keys, other.categorical_keys) == (("date",), ("place",))
+        assert (lf.numeric_keys, lf.categorical_keys) == (("date",), ("place",))
+        assert other.records == lf.records == {"a": {"date": 1300.0, "place": "X"},
+                                               "b": {"place": "Y"}}
+        bad = self.write(tmp_path / "bad.tsv", [*self.ATTRIBUTES, "c\tdate\tsoon"],
+                         newline)
+        with pytest.raises(ParseError, match="line 7: numeric key 'date'"):
+            parse_attribute_table(bad)
 
 
 class TestAttributeTable:

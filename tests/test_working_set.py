@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsom import Partition, load_edge_list
+from graphsom import Partition, load_edge_list, summary_graph
 from graphsom.cluster import q_modularity
 from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import RunConfig, report_document, run_cluster, run_layout, \
@@ -63,6 +63,7 @@ def warm_up():
     list(g.edges())
     report_document(g, Partition(np.arange(20) % 3, 3), {})
     q_modularity(g, Partition(np.arange(20) % 3, 30))
+    summary_graph(g, Partition(np.arange(20), 20))
 
 
 class TestTracedPeak:
@@ -128,10 +129,22 @@ class TestTracedPeak:
         part = Partition(np.arange(N) % 7, 7)
         assert peak_arrays(lambda: report_document(from_weights(w), part, {})) <= 0.5
 
-    def test_cluster_blocks_grow_with_vertices_not_cluster_ids(self):
+    # Measured at n=300 (2,237 edges) with every vertex its own cluster:
+    # the cluster sums hold a few arrays over the edges and the clusters,
+    # 61 KB for the modularity and 206 KB for the summary graph, or 27 and
+    # 92 bytes an edge (2.1 and 2.2 n x n arrays when they summed a dense
+    # block over the nonempty clusters and added its transpose). Two int64
+    # cluster ids per edge alone take 0.05 n x n arrays here, so the bound
+    # is 0.05 arrays for what grows with the clusters plus 100 bytes an edge.
+    def test_cluster_sums_grow_with_edges_not_cluster_pairs(self):
         g = path_graph(8)
         part = Partition(np.arange(8) % 3, 3000)
         assert traced(lambda: q_modularity(g, part))[1] < 1_000_000
+        g = graph()
+        singletons = Partition(np.arange(N), N)
+        bound = 0.05 * 8 * N * N + 100 * g.num_edges
+        assert traced(lambda: q_modularity(g, singletons))[1] <= bound
+        assert traced(lambda: summary_graph(g, singletons))[1] <= bound
 
 
 @pytest.fixture(scope="module")
