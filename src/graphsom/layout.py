@@ -411,22 +411,19 @@ def _grid_frame_and_cells(grid) -> tuple[Rect, tuple[Rect, ...]]:
 def som_map_scene(model: SomModel, sg: ClusterSummaryGraph) -> LayoutScene:
     """Place one glyph per nonempty unit at its grid coordinate.
 
-    ``sg`` must be the summary of ``som_partition(model)``: clusters are
-    matched to units by index, and a count mismatch raises. The frame is the
-    unit grid scaled by ``CELL_SIDE``, so a u-matrix raster drawn over the
-    full frame lines up with the cells.
+    ``sg`` must be the summary of ``som_partition(model)``: glyph c is drawn
+    in the cell of the c-th nonempty unit, row-major, and a cluster count or
+    size that differs from those units' vertex counts raises. The frame is
+    the unit grid scaled by ``CELL_SIDE``, so a u-matrix raster drawn over
+    the full frame lines up with the cells.
     """
-    part = som_partition(model)
-    if sg.num_clusters != part.k or not np.array_equal(sg.sizes, part.sizes()):
+    counts = model.unit_counts()
+    units = np.flatnonzero(counts)
+    if sg.num_clusters != units.size or not np.array_equal(sg.sizes, counts[units]):
         raise ValueError("summary clusters do not match the map's nonempty units")
-    coords = part.params["unit_coords"]
     frame, cells = _grid_frame_and_cells(model.grid)
-    pos = np.array([[(c + 0.5) * CELL_SIDE, (r + 0.5) * CELL_SIDE]
-                    for r, c in coords], dtype=np.float64)
-    return _summary_scene(
-        sg, pos, frame, cell_regions=cells,
-        cell_of_item=np.array([r * model.grid.cols + c for r, c in coords],
-                              dtype=np.int64))
+    pos = (model.grid.unit_coords[units, ::-1] + 0.5) * CELL_SIDE
+    return _summary_scene(sg, pos, frame, cell_regions=cells, cell_of_item=units)
 
 
 def constrained_full_layout(g: WeightedGraph, model: SomModel,

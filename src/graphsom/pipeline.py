@@ -133,20 +133,10 @@ class RunConfig:
         return cfg
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def document_bytes(doc: dict) -> bytes:
     """Serialize a document dict to its canonical UTF-8 form."""
-    return (json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False,
-                       default=_json_default) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, ensure_ascii=False,
+                       allow_nan=False) + "\n").encode("utf-8")
 
 
 def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
@@ -241,35 +231,50 @@ def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
                      doc.get("params", {}))
 
 
+def _json_list(values, kinds, rule: str) -> list:
+    """``values`` if it is a JSON list of ``kinds``, else ValueError(rule)."""
+    # bool is an int subclass, but JSON true/false is no number
+    if not isinstance(values, list) or not all(
+            isinstance(v, kinds) and not isinstance(v, bool) for v in values):
+        raise ValueError(rule)
+    return values
+
+
 def model_from_document(doc: dict) -> SomModel:
-    """Rebuild the map under a document's ``model`` key, in label-table order."""
+    """Rebuild the map under a document's ``model`` key, in label-table order,
+    with the document's ``params``; its units must number as the clusters."""
     block = doc.get("model")
     if block is None:
         raise UsageError("document holds no trained map; "
                          "pass a partition produced by a som method")
     try:
-        dims = [block["grid"]["rows"], block["grid"]["cols"]]
-        # bool is an int subclass, but JSON true is no grid size
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-            raise ValueError(f"grid rows and cols must be integers, got {dims}")
-        if len(block["assignment"]) != len(doc["assignment"]):
-            raise ValueError("assignment length differs from the label table")
+        dims = _json_list([block["grid"]["rows"], block["grid"]["cols"]], int,
+                          "grid rows and cols must be integers")
+        units = _json_list(block["assignment"], int, "unit ids must be integers")
+        trace = _json_list(block["energy_trace"], (int, float),
+                           "energy trace entries must be numbers")
         umatrix = block.get("umatrix")
-        return SomModel(SomGrid(*dims), None,
-                        np.array(block["assignment"], dtype=np.int64),
-                        np.array(block["energy_trace"], dtype=np.float64),
-                        block.get("params", {}),
-                        None if umatrix is None else UMatrix(umatrix))
-    except (KeyError, TypeError, ValueError) as exc:
+        if umatrix is not None:
+            rows = _json_list(umatrix, list, "u-matrix must be a list of rows")
+            umatrix = UMatrix([_json_list(row, (int, float),
+                                          "u-matrix entries must be numbers")
+                               for row in rows])
+        model = SomModel(SomGrid(*dims), None, units, trace,
+                         doc.get("params", {}), umatrix)
+        if not np.array_equal(som_partition(model).assignment,
+                              list(doc["assignment"].values())):
+            raise ValueError("units disagree with the label table's cluster ids")
+        return model
+    # OverflowError: a JSON integer beyond int64, or a float's range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed model block: {exc}") from exc
 
 
 def _model_block(model: SomModel) -> dict:
     return {"grid": {"rows": model.grid.rows, "cols": model.grid.cols},
-            "params": dict(model.params),
-            "energy_trace": model.energy_trace,
-            "assignment": model.assignment,
-            "umatrix": model.umatrix.values}
+            "energy_trace": model.energy_trace.tolist(),
+            "assignment": model.assignment.tolist(),
+            "umatrix": model.umatrix.values.tolist()}
 
 
 def partition_document(g: WeightedGraph, part: Partition, config: dict,

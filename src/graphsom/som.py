@@ -350,17 +350,8 @@ def u_matrix(model: SomModel, data) -> UMatrix:
 
 
 def som_partition(model: SomModel) -> Partition:
-    """Partition on the nonempty units, renumbered row-major.
-
-    Cluster c's source unit coordinate is kept in params["unit_coords"][c] so
-    map layouts can place glyphs on the grid.
-    """
-    counts = model.unit_counts()
-    occupied = np.flatnonzero(counts > 0)
-    remap = np.full(model.grid.num_units, -1, dtype=np.int64)
-    remap[occupied] = np.arange(occupied.size)
-    coords = model.grid.unit_coords[occupied]
-    params = dict(model.params)
-    params["unit_coords"] = tuple((int(r), int(c)) for r, c in coords)
+    """Partition on the nonempty units: cluster c is the c-th occupied unit,
+    row-major, and ``model.params`` pass through unchanged."""
+    units, clusters = np.unique(model.assignment, return_inverse=True)
     method = str(model.params.get("method", "som"))
-    return Partition(remap[model.assignment], int(occupied.size), method, params)
+    return Partition(clusters, int(units.size), method, model.params)

@@ -747,6 +747,20 @@ class TestLayoutCommand:
             drawn[name] = (svg.read_bytes(), mdot.read_bytes())
         assert drawn["g1"] == drawn["g2"]
 
+    @pytest.mark.parametrize("mode", ["map", "full"])
+    def test_units_disagreeing_with_cluster_ids_exit_3(self, tmp_path, som_doc,
+                                                       capsys, mode):
+        graph, doc = som_doc
+        pdoc = json.loads(Path(doc).read_text())
+        pdoc["assignment"]["n0"] = 1 - pdoc["assignment"]["n0"]
+        Path(doc).write_bytes(document_bytes(pdoc))
+        svg = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert main(["layout", "--mode", mode, "--input", graph, "--model", doc,
+                     "--svg", str(svg), "--seed", "0"]) == 3
+        assert "disagree" in capsys.readouterr().err
+        assert not svg.exists()
+
     @pytest.mark.parametrize("mode", ["map", "full", "summary"])
     def test_unknown_vertex_exits_2(self, tmp_path, som_doc, capsys, mode):
         graph, doc = som_doc
@@ -764,7 +778,9 @@ class TestLayoutCommand:
 
 class TestVersion1Documents:
     def test_same_outputs_as_version_2(self, tmp_path, capsys):
-        # a version 1 document is a version 2 one plus the prototype weights
+        # a version 1 document is a version 2 one plus the prototype weights;
+        # older version 2 documents also kept each cluster's unit coordinate
+        # in params and a second copy of params in the model block
         graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
         v2 = tmp_path / "v2.json"
         assert main(["cluster", "--input", graph, "--method", "kernel-som",
@@ -775,8 +791,15 @@ class TestVersion1Documents:
         doc = json.loads(v2.read_text())
         assert doc["model"]["assignment"] == model.assignment.tolist()
         doc["schema_version"] = 1
-        doc["model"]["gamma"] = model.gamma
+        doc["model"]["gamma"] = model.gamma.tolist()
         v1 = document_bytes(doc)
+        doc = json.loads(v2.read_text())
+        block = doc["model"]
+        doc["model"] = {"grid": block.pop("grid"), "params": dict(doc["params"]),
+                        **block}
+        units = np.unique(model.assignment)
+        doc["params"]["unit_coords"] = SomGrid(1, 2).unit_coords[units].tolist()
+        with_coords = document_bytes(doc)
         attrs = tmp_path / "attrs.tsv"
         attrs.write_text("".join(f"n{i}\tplace\t{'XY'[i % 2]}\n"
                                  for i in range(8)))
@@ -806,7 +829,9 @@ class TestVersion1Documents:
                 got[path.name] = path.read_bytes()
             return got
 
-        assert outputs("from-v1", v1) == outputs("from-v2", v2.read_bytes())
+        expected = outputs("from-v2", v2.read_bytes())
+        assert outputs("from-v1", v1) == expected
+        assert outputs("with-unit-coords", with_coords) == expected
 
 
 class TestStatsCommand:

@@ -141,10 +141,13 @@ class TestRunCluster:
         assert block["grid"] == {"rows": 1, "cols": 2}
         assert "gamma" not in block
         assert len(block["assignment"]) == 20
-        assert block["params"]["method"] == "kernel-som"
-        assert block["params"]["beta"] == 0.5
+        # the method's parameters are stored once, at the top level
+        assert "params" not in block
+        assert pdoc["params"]["method"] == "kernel-som"
+        assert pdoc["params"]["beta"] == 0.5
         model = model_from_document(pdoc)
         assert model.grid.num_units == 2
+        assert model.params == pdoc["params"]
         np.testing.assert_array_equal(model.assignment,
                                       np.array(block["assignment"]))
 
@@ -155,8 +158,7 @@ class TestRunCluster:
         run_cluster(config)
         pdoc = json.loads((tmp_path / "partition.json").read_text())
         block = pdoc["model"]
-        assert list(block) == ["grid", "params", "energy_trace", "assignment",
-                               "umatrix"]
+        assert list(block) == ["grid", "energy_trace", "assignment", "umatrix"]
         model = model_from_document(pdoc)
         np.testing.assert_array_equal(model.umatrix.values,
                                       np.array(block["umatrix"]))
@@ -263,19 +265,27 @@ class TestPartitionDocuments:
             model_from_document(doc)
 
     def test_malformed_model_block(self):
-        # a unit outside the 1x2 grid, then one vertex too few
-        for units in ([0, 2], [0]):
+        # a unit outside the 1x2 grid, one vertex too few, unit ids that are
+        # no JSON integers (or overflow int64), then trace entries that are
+        # no JSON numbers; numpy would read each of the odd types as a number
+        for units, trace in (([0, 2], []), ([0], []), ([0.9, 1.2], []),
+                             ([False, True], []), (["0", "1"], []),
+                             ([0, 2 ** 70], []), ([0, 1], ["0.5"]),
+                             ([0, 1], [True]), ([0, 1], [10 ** 400]),
+                             ([0, 1], "0.5")):
             doc = {"assignment": {"a": 0, "b": 1},
                    "model": {"grid": {"rows": 1, "cols": 2},
                              "assignment": units,
-                             "energy_trace": []}}
+                             "energy_trace": trace}}
             with pytest.raises(ParseError, match="malformed model block"):
                 model_from_document(doc)
 
     @pytest.mark.parametrize("umatrix", [
         [[0.1, 0.2, 0.3]], [[0.1], [0.2]], [0.1, 0.2], [[0.1, -0.2]],
-        [[0.1, float("nan")]], [[0.1, None]], "flat"],
-        ids=["wide", "tall", "1-D", "negative", "nan", "null", "string"])
+        [[0.1, float("nan")]], [[0.1, None]], "flat", [[0.1, "0.2"]],
+        [[0.1, True]], [[0.1, 10 ** 400]]],
+        ids=["wide", "tall", "1-D", "negative", "nan", "null", "string",
+             "string-entry", "true", "huge"])
     def test_malformed_umatrix(self, umatrix):
         doc = {"assignment": {"a": 0, "b": 1},
                "model": {"grid": {"rows": 1, "cols": 2},
@@ -303,6 +313,15 @@ class TestPartitionDocuments:
         doc["model"]["assignment"] = [0, 0]
         del doc["model"]["umatrix"]
         with pytest.raises(ParseError, match="malformed model block"):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize("table", [{"a": 0, "b": 0}, {"a": 1, "b": 0},
+                                       {"b": 1, "a": 0}])
+    def test_units_must_give_the_cluster_ids(self, table):
+        # one id changed, the ids swapped, then the label table reordered
+        doc = self.hand_doc()
+        doc["assignment"] = table
+        with pytest.raises(ParseError, match="disagree"):
             model_from_document(doc)
 
     def test_model_from_document_has_no_gamma(self):

@@ -336,7 +336,8 @@ class TestSomPartition:
         p = som_partition(model)
         assert p.k == 2
         np.testing.assert_array_equal(p.assignment, [0, 0, 1])
-        assert p.params["unit_coords"] == ((0, 0), (1, 1))
+        # the cluster-to-unit map is the model's own; params pass through
+        assert p.params == {"method": "kernel-som"}
         assert p.method_tag == "kernel-som"
 
     def test_single_unit(self):
