@@ -59,7 +59,7 @@ def main():
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges, "
           f"3 planted groups of sizes 18/14/10")
 
-    oracle = q_modularity(g, Partition(owner, 3, "planted", {}))
+    oracle = q_modularity(g, Partition(owner, 3))
     print(f"planted grouping scores q={oracle:+.4f}\n")
 
     print("top-down view, same graph for every method:")

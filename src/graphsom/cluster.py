@@ -10,7 +10,7 @@ reproduces kmeans(X) partition for partition; the tests lean on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class KMeansResult:
     centers: np.ndarray | None
     within_energy: float
     energy_trace: np.ndarray
-    restarts_used: int
     iterations: int
 
 
@@ -166,10 +165,8 @@ def kmeans(points, k: int, seed: int,
     """
     space = _FeatureSpace(points)
     assign, gamma, trace = _best_lloyd(space, k, seed, restarts)
-    partition = Partition(assign, k, "kmeans",
-                          {"k": k, "seed": seed, "restarts": restarts})
-    return KMeansResult(partition, gamma @ space.points, float(trace[-1]), trace,
-                        restarts, int(trace.size))
+    return KMeansResult(Partition(assign, k), gamma @ space.points,
+                        float(trace[-1]), trace, int(trace.size))
 
 
 def kernel_kmeans(kernel, k: int, seed: int,
@@ -183,12 +180,8 @@ def kernel_kmeans(kernel, k: int, seed: int,
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
     assign, _, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)
-    params = {"k": k, "seed": seed, "restarts": restarts}
-    if kern.beta is not None:
-        params["beta"] = kern.beta
-    partition = Partition(assign, k, "kernel-kmeans", params)
-    return KMeansResult(partition, None, float(trace[-1]), trace,
-                        restarts, int(trace.size))
+    return KMeansResult(Partition(assign, k), None, float(trace[-1]), trace,
+                        int(trace.size))
 
 
 def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
@@ -198,10 +191,7 @@ def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
     if not 1 <= k <= g.num_vertices:
         raise UsageError(f"k must be in 1..{g.num_vertices}, got {k}")
     coords = spectral_embedding(g.laplacian(), p)
-    result = kmeans(coords, k, seed, restarts)
-    partition = Partition(result.partition.assignment, k, "spectral",
-                          {"p": p, "k": k, "seed": seed, "restarts": restarts})
-    return replace(result, partition=partition)
+    return kmeans(coords, k, seed, restarts)
 
 
 def q_modularity(g: WeightedGraph, p: Partition, *, weighted: bool = True) -> float:

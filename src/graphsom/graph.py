@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -127,12 +127,11 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Assignment of every vertex to exactly one cluster id in ``0..k-1``."""
+    """Assignment of every vertex to exactly one cluster id in ``0..k-1``; the
+    method and knobs that produced it are recorded only in its document."""
 
     assignment: np.ndarray
     k: int
-    method_tag: str = ""
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         a = np.array(self.assignment, dtype=np.int64)
@@ -144,7 +143,6 @@ class Partition:
             raise ValueError(f"cluster ids must lie in 0..{self.k - 1}")
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "params", dict(self.params))
 
     @property
     def num_vertices(self) -> int:

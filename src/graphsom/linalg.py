@@ -103,14 +103,13 @@ def eigendecompose_symmetric(m) -> EigenDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Symmetric similarity matrix, optionally tagged with the beta it came from.
+    """Symmetric similarity matrix, read-only.
 
     Positive semi-definiteness is a property of how the matrix was built (exact
     for heat kernels, near-exact for Gram matrices) and is not checked.
     """
 
     matrix: np.ndarray
-    beta: float | None = None
 
     def __post_init__(self):
         src = self.matrix
@@ -123,21 +122,15 @@ class KernelMatrix:
         self._settle(a)
 
     @classmethod
-    def _adopt(cls, matrix: np.ndarray, beta: float) -> KernelMatrix:
+    def _adopt(cls, matrix: np.ndarray) -> KernelMatrix:
         """A kernel that takes over ``matrix``, a new array no caller holds."""
         kern = cls.__new__(cls)
-        object.__setattr__(kern, "beta", beta)
         kern._settle(_checked_symmetric(matrix, "kernel matrix"))
         return kern
 
     def _settle(self, a: np.ndarray) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
-        if self.beta is not None:
-            b = float(self.beta)
-            if not (b >= 0.0 and np.isfinite(b)):
-                raise ValueError(f"beta must be a finite nonnegative real, got {self.beta!r}")
-            object.__setattr__(self, "beta", b)
 
     @property
     def order(self) -> int:
@@ -227,7 +220,7 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
         raise UsageError(f"beta must be a finite nonnegative real, got {beta!r}")
     if b == 0.0:
         lap = _checked_symmetric(laplacian, "laplacian")
-        return KernelMatrix._adopt(np.eye(lap.shape[0]), 0.0)
+        return KernelMatrix._adopt(np.eye(lap.shape[0]))
     decomp = eigendecompose_symmetric(laplacian)
     lam = decomp.eigenvalues
     with np.errstate(over="ignore"):
@@ -242,7 +235,7 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     # the column signs fixed by the eigensolve cancel in S S^T
     s = decomp.eigenvectors
     s *= np.exp(-b * lam / 2.0)
-    return KernelMatrix._adopt(s @ s.T, b)
+    return KernelMatrix._adopt(s @ s.T)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:

@@ -183,9 +183,10 @@ def read_document(path) -> dict:
 
 
 def load_partition_document(path) -> dict:
-    """Read a partition document; ids, ``num_clusters``, ``method`` and
-    ``params`` are checked here, once, for every command that reads one,
-    and a missing ``num_clusters`` is set to the largest id + 1."""
+    """Read a partition document; ids, ``num_clusters``, ``method``, ``params``
+    and any ``model`` block, which becomes its :class:`SomModel`, are checked
+    here, once, for every command that reads one; a missing ``num_clusters``
+    is set to the largest id + 1."""
     doc = read_document(path)
     if doc.get("schema") != PARTITION_SCHEMA:
         raise ParseError(
@@ -208,6 +209,8 @@ def load_partition_document(path) -> dict:
         raise ParseError(f"partition method must be a string, got {doc['method']!r}")
     if not isinstance(doc.get("params", {}), dict):
         raise ParseError("partition params must be a JSON object")
+    if doc.get("model") is not None:
+        doc["model"] = model_from_document(doc)
     return doc
 
 
@@ -227,8 +230,7 @@ def partition_for_graph(doc: dict, g: WeightedGraph) -> Partition:
         raise UsageError(
             f"partition mentions vertex {sorted(extra)[0]!r} not in the graph")
     assignment = np.array([table[label] for label in g.labels], dtype=np.int64)
-    return Partition(assignment, doc["num_clusters"], str(doc.get("method", "")),
-                     doc.get("params", {}))
+    return Partition(assignment, doc["num_clusters"])
 
 
 def _json_list(values, kinds, rule: str) -> list:
@@ -241,13 +243,10 @@ def _json_list(values, kinds, rule: str) -> list:
 
 
 def model_from_document(doc: dict) -> SomModel:
-    """Rebuild the map under a document's ``model`` key, in label-table order,
-    with the document's ``params``; its units must number as the clusters."""
-    block = doc.get("model")
-    if block is None:
-        raise UsageError("document holds no trained map; "
-                         "pass a partition produced by a som method")
+    """Rebuild the map under a document's ``model`` key, in label-table
+    order; its units must number as the clusters."""
     try:
+        block = doc["model"]
         dims = _json_list([block["grid"]["rows"], block["grid"]["cols"]], int,
                           "grid rows and cols must be integers")
         units = _json_list(block["assignment"], int, "unit ids must be integers")
@@ -259,8 +258,7 @@ def model_from_document(doc: dict) -> SomModel:
             umatrix = UMatrix([_json_list(row, (int, float),
                                           "u-matrix entries must be numbers")
                                for row in rows])
-        model = SomModel(SomGrid(*dims), None, units, trace,
-                         doc.get("params", {}), umatrix)
+        model = SomModel(SomGrid(*dims), None, units, trace, umatrix)
         if not np.array_equal(som_partition(model).assignment,
                               list(doc["assignment"].values())):
             raise ValueError("units disagree with the label table's cluster ids")
@@ -279,12 +277,14 @@ def _model_block(model: SomModel) -> dict:
 
 def partition_document(g: WeightedGraph, part: Partition, config: dict,
                        model: SomModel | None = None) -> dict:
+    """Partition document of a run: ``method`` and ``seed`` at the top level,
+    ``params`` the method's knobs from the resolved ``config``, in table order."""
     doc = {"schema": PARTITION_SCHEMA,
            "schema_version": PARTITION_SCHEMA_VERSION,
-           "method": part.method_tag,
-           "seed": config.get("seed"),
+           "method": config["method"],
+           "seed": config["seed"],
            "num_clusters": int(part.k),
-           "params": dict(part.params),
+           "params": {knob: config[knob] for knob in _METHOD_KNOBS[config["method"]]},
            "assignment": {label: int(c)
                           for label, c in zip(g.labels, part.assignment)}}
     if model is not None:
@@ -548,7 +548,10 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         scene = force_directed_layout(dot_subject, iterations,
                                       Rect(0.0, 0.0, 800.0, 800.0), seed)
     else:
-        model = model_from_document(doc)
+        model = doc.get("model")
+        if model is None:
+            raise UsageError("document holds no trained map; "
+                             "pass a partition produced by a som method")
         units = dict(zip(doc["assignment"], model.assignment))
         model = replace(model, assignment=[units[label] for label in g.labels])
         if mode == "full":

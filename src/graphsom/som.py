@@ -21,9 +21,8 @@ sizable fraction of random inputs. On a 1x2 grid all these rules coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -120,13 +119,13 @@ class SomGrid:
 @dataclass(frozen=True, eq=False)
 class SomModel:
     """Trained map: convex prototype weights (``None`` when read from a document),
-    final assignment, energy trace, and u-matrix (``None`` on hand-built models)."""
+    final assignment, energy trace, and u-matrix (``None`` on hand-built models);
+    the method and knobs that trained it are recorded only in its document."""
 
     grid: SomGrid
     gamma: np.ndarray | None
     assignment: np.ndarray
     energy_trace: np.ndarray
-    params: Mapping[str, object] = field(default_factory=dict)
     umatrix: UMatrix | None = None
 
     def __post_init__(self):
@@ -153,7 +152,6 @@ class SomModel:
             if arr is not None:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-        object.__setattr__(self, "params", dict(self.params))
 
     @property
     def num_vertices(self) -> int:
@@ -205,8 +203,8 @@ def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
     return out
 
 
-def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int,
-           method: str, **params) -> SomModel:
+def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
+           seed: int) -> SomModel:
     """Shared batch-SOM loop over either view of the vertices."""
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
@@ -229,9 +227,7 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius, seed: int,
         dist2 = space.dist2(gamma)
         trace.append(float((influence * dist2).sum()))
     assignment = _smoothed_bmu(dist2, hn)
-    params = {"method": method, "epochs": epochs, "radius": (start, end),
-              "seed": seed, **params}
-    return SomModel(grid, gamma, assignment, np.array(trace), params,
+    return SomModel(grid, gamma, assignment, np.array(trace),
                     _umatrix(space, grid, gamma))
 
 
@@ -246,9 +242,7 @@ def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
     The energy trace records the extended distortion after each epoch.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    beta = {} if kern.beta is None else {"beta": kern.beta}
-    return _train(_FeatureSpace(kern), grid, epochs, radius, seed, "kernel-som",
-                  **beta)
+    return _train(_FeatureSpace(kern), grid, epochs, radius, seed)
 
 
 def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
@@ -260,7 +254,7 @@ def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
     carries the same gamma representation and feeding the Gram matrix
     X @ X.T to batch_kernel_som reproduces this function draw for draw.
     """
-    return _train(_FeatureSpace(points), grid, epochs, radius, seed, "batch-som")
+    return _train(_FeatureSpace(points), grid, epochs, radius, seed)
 
 
 def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
@@ -269,8 +263,7 @@ def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
                  seed: int = 0) -> SomModel:
     """Batch SOM on the spectral embedding of a graph."""
     coords = spectral_embedding(g.laplacian(), p)
-    model = batch_som(coords, grid, epochs, radius, seed)
-    return replace(model, params={**model.params, "method": "spectral-som", "p": p})
+    return batch_som(coords, grid, epochs, radius, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +343,6 @@ def u_matrix(model: SomModel, data) -> UMatrix:
 
 
 def som_partition(model: SomModel) -> Partition:
-    """Partition on the nonempty units: cluster c is the c-th occupied unit,
-    row-major, and ``model.params`` pass through unchanged."""
+    """Partition on the nonempty units: cluster c is the c-th, row-major."""
     units, clusters = np.unique(model.assignment, return_inverse=True)
-    method = str(model.params.get("method", "som"))
-    return Partition(clusters, int(units.size), method, model.params)
+    return Partition(clusters, int(units.size))

@@ -197,15 +197,15 @@ def test_criterion_06_q_modularity():
     for _ in range(20):
         n = int(rng.integers(3, 25))
         g = random_graph(n, density=0.4, rng=rng)
-        whole = Partition(np.zeros(n, dtype=np.int64), 1, "oracle", {})
+        whole = Partition(np.zeros(n, dtype=np.int64), 1)
         assert q_modularity(g, whole) == 0.0
 
     path = path_graph(3)
-    split = Partition(np.array([0, 0, 1]), 2, "oracle", {})
+    split = Partition(np.array([0, 0, 1]), 2)
     assert q_modularity(path, split) == -0.125
 
     g = random_graph(12, density=0.5, rng=np.random.default_rng(99))
-    part = Partition(np.arange(12) % 3, 3, "oracle", {})
+    part = Partition(np.arange(12) % 3, 3)
     base = q_modularity(g, part)
     for c in (0.5, 3.0, 10.0):
         scaled = WeightedGraph(g.labels, g.weights * c)
@@ -262,10 +262,10 @@ def test_criterion_08_som_structure(monkeypatch):
         assert np.abs(gamma.sum(axis=1) - 1.0).max() <= 1e-10
 
     flat = SomModel(SomGrid(1, 2), np.full((2, 4), 0.25),
-                    np.zeros(4, dtype=np.int64), [], {})
+                    np.zeros(4, dtype=np.int64), [])
     assert np.abs(u_matrix(flat, KernelMatrix(np.eye(4))).values).max() <= 1e-10
 
-    ortho = SomModel(SomGrid(1, 2), np.eye(2), np.array([0, 1]), [], {})
+    ortho = SomModel(SomGrid(1, 2), np.eye(2), np.array([0, 1]), [])
     u = u_matrix(ortho, KernelMatrix(np.eye(2))).values
     assert np.abs(u - np.sqrt(2.0)).max() <= 1e-10
     passed(8, "gamma convex after all 40 epochs; u-matrix 0 and sqrt(2) cases")
@@ -295,7 +295,7 @@ def test_criterion_09_layout_invariants():
     sizes = [1, 4, 9, 16]
     varied = random_graph(30, density=0.2, rng=np.random.default_rng(9))
     assignment = np.repeat(np.arange(4), sizes)
-    part = Partition(assignment, 4, "oracle", {})
+    part = Partition(assignment, 4)
     summary = force_directed_layout(summary_graph(varied, part), 150,
                                     Rect(0.0, 0.0, 640.0, 480.0), seed=7)
     ratios = summary.radii / np.sqrt(np.asarray(sizes, dtype=np.float64))

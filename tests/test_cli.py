@@ -556,7 +556,7 @@ class TestClusterCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["model"]["grid"] == {"rows": 1, "cols": 2}
-        assert doc["params"]["method"] == "kernel-som"
+        assert doc["method"] == "kernel-som"
 
     @pytest.mark.parametrize("method", ["kernel-som", "spectral-som"])
     def test_som_documents_hold_no_gamma(self, tmp_path, method):
@@ -747,19 +747,30 @@ class TestLayoutCommand:
             drawn[name] = (svg.read_bytes(), mdot.read_bytes())
         assert drawn["g1"] == drawn["g2"]
 
-    @pytest.mark.parametrize("mode", ["map", "full"])
+    @pytest.mark.parametrize("mode", ["map", "full", "summary", "stats",
+                                      "attrs"])
     def test_units_disagreeing_with_cluster_ids_exit_3(self, tmp_path, som_doc,
                                                        capsys, mode):
+        # every command that reads the document checks its model block
         graph, doc = som_doc
         pdoc = json.loads(Path(doc).read_text())
         pdoc["assignment"]["n0"] = 1 - pdoc["assignment"]["n0"]
         Path(doc).write_bytes(document_bytes(pdoc))
-        svg = tmp_path / "x.svg"
+        out = tmp_path / "x.out"
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text("n0\tplace\tX\n")
+        flag = "--partition" if mode == "summary" else "--model"
+        argv = {"stats": ["stats", "--input", graph, "--partition", doc],
+                "attrs": ["attrs", "--partition", doc, "--attributes",
+                          str(attrs), "--out", str(out)]}.get(
+            mode, ["layout", "--mode", mode, "--input", graph, flag, doc,
+                   "--svg", str(out), "--seed", "0"])
         capsys.readouterr()
-        assert main(["layout", "--mode", mode, "--input", graph, "--model", doc,
-                     "--svg", str(svg), "--seed", "0"]) == 3
-        assert "disagree" in capsys.readouterr().err
-        assert not svg.exists()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "disagree" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["map", "full", "summary"])
     def test_unknown_vertex_exits_2(self, tmp_path, som_doc, capsys, mode):
@@ -780,7 +791,8 @@ class TestVersion1Documents:
     def test_same_outputs_as_version_2(self, tmp_path, capsys):
         # a version 1 document is a version 2 one plus the prototype weights;
         # older version 2 documents also kept each cluster's unit coordinate
-        # in params and a second copy of params in the model block
+        # in params and a second copy of params in the model block, or kept
+        # the method and seed in params
         graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
         v2 = tmp_path / "v2.json"
         assert main(["cluster", "--input", graph, "--method", "kernel-som",
@@ -800,6 +812,10 @@ class TestVersion1Documents:
         units = np.unique(model.assignment)
         doc["params"]["unit_coords"] = SomGrid(1, 2).unit_coords[units].tolist()
         with_coords = document_bytes(doc)
+        doc = json.loads(v2.read_text())
+        doc["params"] = {"method": "kernel-som", "epochs": 30,
+                         "radius": [1.0, 0.5], "seed": 0, "beta": 0.5}
+        method_in_params = document_bytes(doc)
         attrs = tmp_path / "attrs.tsv"
         attrs.write_text("".join(f"n{i}\tplace\t{'XY'[i % 2]}\n"
                                  for i in range(8)))
@@ -832,6 +848,7 @@ class TestVersion1Documents:
         expected = outputs("from-v2", v2.read_bytes())
         assert outputs("from-v1", v1) == expected
         assert outputs("with-unit-coords", with_coords) == expected
+        assert outputs("method-in-params", method_in_params) == expected
 
 
 class TestStatsCommand:

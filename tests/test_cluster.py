@@ -10,7 +10,7 @@ from graphsom.cluster import (
     q_modularity,
     spectral_clustering,
 )
-from graphsom.linalg import KernelMatrix, heat_kernel
+from graphsom.linalg import KernelMatrix, heat_kernel, spectral_embedding
 from graphgen import complete_graph, path_graph, random_graph, two_cliques
 
 
@@ -116,11 +116,9 @@ class TestKMeans:
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(15, 2))
         res = kmeans(pts, 3, seed=5, restarts=4)
-        assert res.restarts_used == 4
         assert res.iterations == res.energy_trace.size
         assert res.within_energy == res.energy_trace[-1]
         assert res.centers.shape == (3, 2)
-        assert res.partition.method_tag == "kmeans"
 
 
 class TestKernelKMeans:
@@ -159,12 +157,10 @@ class TestKernelKMeans:
             slack = 1e-10 * max(1.0, res.energy_trace[0])
             assert (np.diff(res.energy_trace) <= slack).all()
 
-    def test_centers_absent_and_tagged(self):
+    def test_centers_absent(self):
         g = two_cliques(4)
         res = kernel_kmeans(heat_kernel(g.laplacian(), 0.1), 2, seed=0)
         assert res.centers is None
-        assert res.partition.method_tag == "kernel-kmeans"
-        assert res.partition.params["beta"] == 0.1
 
 
 class TestSpectralClustering:
@@ -188,11 +184,14 @@ class TestSpectralClustering:
         assert groups_of(res.partition.assignment) == \
             groups_of(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2]))
 
-    def test_tagged_with_params(self):
-        g = two_cliques(3)
-        res = spectral_clustering(g, p=2, k=2, seed=4)
-        assert res.partition.method_tag == "spectral"
-        assert res.partition.params["p"] == 2
+    def test_is_kmeans_on_the_embedding(self):
+        g = two_cliques(3, bridge=0.5)
+        res = spectral_clustering(g, p=2, k=2, seed=4, restarts=3)
+        direct = kmeans(spectral_embedding(g.laplacian(), 2), 2, seed=4,
+                        restarts=3)
+        np.testing.assert_array_equal(res.partition.assignment,
+                                      direct.partition.assignment)
+        np.testing.assert_array_equal(res.energy_trace, direct.energy_trace)
 
 
 class TestQModularity:

@@ -9,7 +9,7 @@ from graphsom.cluster import kmeans, spectral_clustering
 from graphsom.errors import NumericalError, ParseError, UsageError
 from graphsom.graph import Partition, summary_graph
 from graphsom.layout import Rect, constrained_full_layout, force_directed_layout
-from graphsom.linalg import KernelMatrix, heat_kernel, spectral_embedding
+from graphsom.linalg import heat_kernel, spectral_embedding
 from graphsom.som import SomGrid, SomModel, UMatrix, batch_som
 from graphgen import two_cliques
 
@@ -83,10 +83,9 @@ def test_grid_above_the_unit_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: KernelMatrix(np.eye(2), beta=-1.0),
     lambda: UMatrix(np.zeros((2, 2))).upsampled(0),
     lambda: spectral_embedding(np.zeros((2, 3)), 1),
-], ids=["KernelMatrix beta", "UMatrix.upsampled", "non-square laplacian"])
+], ids=["UMatrix.upsampled", "non-square laplacian"])
 def test_library_only_checks_stay_value_error(call):
     with pytest.raises(ValueError) as info:
         call()

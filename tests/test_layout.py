@@ -17,12 +17,12 @@ from graphsom.som import SomGrid, SomModel, som_partition
 from graphgen import complete_graph, random_graph, two_cliques
 
 
-def uniform_model(grid, assignment, n_vertices=None, params=None):
+def uniform_model(grid, assignment, n_vertices=None):
     """Model with uniform convex rows; only the assignment matters here."""
     assignment = np.asarray(assignment, dtype=np.int64)
     n = assignment.size if n_vertices is None else n_vertices
     gamma = np.full((grid.num_units, n), 1.0 / n)
-    return SomModel(grid, gamma, assignment, np.zeros(1), params or {})
+    return SomModel(grid, gamma, assignment, np.zeros(1))
 
 
 def halves_partition(n):

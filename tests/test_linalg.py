@@ -115,7 +115,6 @@ class TestHeatKernel:
         lap = random_laplacian(8, rng=5)
         k = heat_kernel(lap, 0.0)
         assert np.abs(k.matrix - np.eye(8)).max() <= 1e-12
-        assert k.beta == 0.0
 
     def test_p2_closed_form(self):
         k = heat_kernel(P2_LAP, 0.5)
@@ -260,7 +259,3 @@ class TestKernelMatrixType:
         k = KernelMatrix(np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(k.diagonal, [2.0, 3.0])
         assert np.trace(k.matrix) == 5.0
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError, match="beta"):
-            KernelMatrix(np.eye(2), beta=-1.0)

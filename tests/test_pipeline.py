@@ -10,6 +10,7 @@ from graphsom.pipeline import (
     ATTRIBUTE_SUMMARY_SCHEMA,
     PARTITION_SCHEMA,
     REPORT_SCHEMA,
+    _METHOD_KNOBS,
     AttributeTable,
     RunConfig,
     attribute_summary,
@@ -143,11 +144,8 @@ class TestRunCluster:
         assert len(block["assignment"]) == 20
         # the method's parameters are stored once, at the top level
         assert "params" not in block
-        assert pdoc["params"]["method"] == "kernel-som"
-        assert pdoc["params"]["beta"] == 0.5
         model = model_from_document(pdoc)
         assert model.grid.num_units == 2
-        assert model.params == pdoc["params"]
         np.testing.assert_array_equal(model.assignment,
                                       np.array(block["assignment"]))
 
@@ -166,10 +164,26 @@ class TestRunCluster:
 
     def test_kernel_kmeans_default_beta_recorded(self, tmp_path):
         write_cliques(tmp_path / "graph.tsv", size=4)
-        config = config_for(tmp_path, "kernel-kmeans", k=2)
+        config = config_for(tmp_path, "kernel-kmeans", k=2,
+                            report=str(tmp_path / "report.json"))
         result = run_cluster(config)
-        assert result["partition"]["params"]["beta"] == 0.05
+        assert result["report"]["config"]["beta"] == 0.05
         assert result["partition"]["method"] == "kernel-kmeans"
+
+    @pytest.mark.parametrize("method", list(_METHOD_KNOBS))
+    def test_params_are_the_method_knobs(self, tmp_path, method):
+        write_cliques(tmp_path / "graph.tsv", size=4)
+        knobs = ({"grid": (1, 2), "epochs": 5} if "grid" in _METHOD_KNOBS[method]
+                 else {"k": 2, "restarts": 2})
+        config = config_for(tmp_path, method, seed=3,
+                            report=str(tmp_path / "report.json"), **knobs)
+        run_cluster(config)
+        pdoc = json.loads((tmp_path / "partition.json").read_text())
+        cfg = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert pdoc["method"] == method and pdoc["seed"] == 3
+        expected = {knob: cfg[knob] for knob in _METHOD_KNOBS[method]}
+        assert list(pdoc["params"].items()) == list(expected.items())
+        assert "method" not in pdoc["params"] and "seed" not in pdoc["params"]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         write_cliques(tmp_path / "graph.tsv", size=5)
@@ -260,9 +274,11 @@ class TestPartitionDocuments:
 
     def test_model_block_required(self, tmp_path):
         path = self.partition_doc(tmp_path)
-        doc = load_partition_document(path)
+        assert "model" not in load_partition_document(path)
         with pytest.raises(UsageError, match="no trained map"):
-            model_from_document(doc)
+            run_layout("map", tmp_path / "graph.tsv", model_path=path,
+                       svg_path=tmp_path / "map.svg", seed=0)
+        assert not (tmp_path / "map.svg").exists()
 
     def test_malformed_model_block(self):
         # a unit outside the 1x2 grid, one vertex too few, unit ids that are

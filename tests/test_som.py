@@ -165,14 +165,12 @@ class TestBatchKernelSom:
         np.testing.assert_array_equal(shuffled.assignment,
                                       base.assignment[perm])
 
-    def test_energy_trace_length_and_params(self):
+    def test_energy_trace_length(self):
         rng = np.random.default_rng(10)
         kern = random_gram(rng, 8)
         model = batch_kernel_som(kern, SomGrid(2, 2), epochs=7,
                                  radius=(1.0, 0.5), seed=11)
         assert model.energy_trace.size == 7
-        assert model.params["method"] == "kernel-som"
-        assert model.params["radius"] == (1.0, 0.5)
 
     def test_validation(self):
         kern = KernelMatrix(np.eye(4))
@@ -219,8 +217,6 @@ class TestSpectralSom:
         a = model.assignment
         assert len(set(a[:10].tolist())) == 1
         assert a[0] != a[10]
-        assert model.params["method"] == "spectral-som"
-        assert model.params["p"] == 2
 
     def test_full_p_matches_batch_som_composition(self):
         g = two_cliques(4, bridge=0.7)
@@ -319,7 +315,6 @@ class TestUMatrix:
         embedded = spectral_embedding(g.laplacian(), 4)
         np.testing.assert_array_equal(model.umatrix.values,
                                       u_matrix(model, embedded).values)
-        assert model.params["method"] == "spectral-som"
         assert model.umatrix.values.max() > 0.0
 
     def test_model_rejects_mis_shaped_umatrix(self):
@@ -332,13 +327,10 @@ class TestSomPartition:
     def test_renumbers_row_major(self):
         gamma = np.full((4, 3), 1.0 / 3)
         model = SomModel(SomGrid(2, 2), gamma, np.array([0, 0, 3]),
-                         np.array([0.0]), {"method": "kernel-som"})
+                         np.array([0.0]))
         p = som_partition(model)
         assert p.k == 2
         np.testing.assert_array_equal(p.assignment, [0, 0, 1])
-        # the cluster-to-unit map is the model's own; params pass through
-        assert p.params == {"method": "kernel-som"}
-        assert p.method_tag == "kernel-som"
 
     def test_single_unit(self):
         gamma = np.full((1, 4), 0.25)

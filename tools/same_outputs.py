@@ -10,15 +10,17 @@ PARENT and CHANGE are two checkouts of this repository. For each seed
 in a fresh directory, on inputs written by ``workloads.write_inputs``: one
 ``python -m graphsom.cli`` process per command, the next after the previous
 one exits, with ``PYTHONPATH=<tree>/src`` and ``OPENBLAS_NUM_THREADS=1``.
-The SHA-256 of every output file, and of each command's standard output and
-exit status, is compared between the trees. Each difference is printed; the
-exit status is 1 if there is any, else 0.
+Every output file, and each command's standard output and exit status, is
+compared between the trees. Each difference is printed with the SHA-256 of
+both sides and, when both sides are JSON objects, the top-level keys whose
+values differ. The exit status is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,15 +32,28 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import DEFAULT_SEED, WORKLOADS, command_argv, write_inputs  # noqa: E402
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(data: bytes | None) -> str:
+    return "missing" if data is None else hashlib.sha256(data).hexdigest()
 
 
-def output_digests(tree: str, workload, seed: int) -> dict[str, str]:
-    """Digest of every output of one run of ``workload`` from ``tree``."""
+def _differing_keys(old: bytes, new: bytes) -> list[str] | None:
+    """Top-level keys whose values differ, or None unless both sides are
+    JSON objects."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return None
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return None
+    absent = object()
+    return [key for key in {**a, **b} if a.get(key, absent) != b.get(key, absent)]
+
+
+def run_outputs(tree: str, workload, seed: int) -> dict[str, bytes]:
+    """Every output of one run of ``workload`` from ``tree``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
-    digests = {}
+    outputs = {}
     with tempfile.TemporaryDirectory() as work:
         write_inputs(workload, seed, work)
         inputs = set(os.listdir(work))
@@ -47,12 +62,12 @@ def output_digests(tree: str, workload, seed: int) -> dict[str, str]:
             proc = subprocess.run([sys.executable, "-m", "graphsom.cli", *argv],
                                   cwd=work, env=env, capture_output=True)
             name = f"command {index} ({' '.join(argv)})"
-            digests[f"{name} stdout"] = _sha256(proc.stdout)
-            digests[f"{name} exit status"] = str(proc.returncode)
+            outputs[f"{name} stdout"] = proc.stdout
+            outputs[f"{name} exit status"] = str(proc.returncode).encode()
         for name in sorted(set(os.listdir(work)) - inputs):
             with open(os.path.join(work, name), "rb") as fh:
-                digests[name] = _sha256(fh.read())
-    return digests
+                outputs[name] = fh.read()
+    return outputs
 
 
 def main(argv=None) -> int:
@@ -65,14 +80,20 @@ def main(argv=None) -> int:
     compared = differ = 0
     for seed in args.seed:
         for workload in WORKLOADS.values():
-            before = output_digests(args.parent, workload, seed)
-            after = output_digests(args.change, workload, seed)
+            before = run_outputs(args.parent, workload, seed)
+            after = run_outputs(args.change, workload, seed)
             for name in sorted(before.keys() | after.keys()):
                 compared += 1
-                old, new = before.get(name, "missing"), after.get(name, "missing")
-                if old != new:
-                    differ += 1
-                    print(f"{workload.name} seed {seed}: {name}: {old} -> {new}")
+                old, new = before.get(name), after.get(name)
+                if old == new:
+                    continue
+                differ += 1
+                line = (f"{workload.name} seed {seed}: {name}: "
+                        f"{_sha256(old)} -> {_sha256(new)}")
+                keys = None if None in (old, new) else _differing_keys(old, new)
+                if keys is not None:
+                    line += f" (top-level keys differ: {', '.join(keys)})"
+                print(line)
     print(f"{compared} outputs compared, {differ} differ")
     return 1 if differ else 0
 
