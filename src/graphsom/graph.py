@@ -280,7 +280,9 @@ def _edge_clusters(g: WeightedGraph,
         raise ValueError(f"partition covers {p.num_vertices} vertices, "
                          f"graph has {g.num_vertices}")
     i, j, w = g.edge_arrays
-    return p.assignment[i], p.assignment[j], w
+    # int32 ids halve the per-edge temporaries; min*k + max keys fit while k*k does
+    ids = p.assignment.astype(np.int32 if p.k * p.k <= 2 ** 31 else np.int64)
+    return ids[i], ids[j], w
 
 
 def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:

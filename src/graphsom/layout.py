@@ -38,10 +38,9 @@ _EPS_DIST = 1e-9
 _CELL_MARGIN = 0.05
 
 # Repulsion groups up to this size share one padded block; larger ones get a
-# block each. On the n=615 landmark drawing's small cells (seeds 10 and 11, a
-# 2-vCPU x86 host, numpy 2.4) a step took a median 160-162 us at 16, 176-195
-# at 32 and 165-187 at 64 (both the same blocks there), and 333-398 with no
-# sharing: past 16 the padding costs what a block's own numpy calls save
+# block each. On the n=615 landmark drawing (seeds 10 / 11, 2-vCPU x86, numpy
+# 2.4) a step took a median 499 / 643 us at 16, 535 / 629 at 32, 537 / 601 at
+# 64 and 665 / 766 with no sharing, so padding pays and 16 keeps it smallest
 _SHARED_BLOCK_MAX = 16
 
 
@@ -209,18 +208,10 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
     return r0 * np.sqrt(counts)
 
 
-def _repulsion(x, y, k, out_x, out_y, work, inf_at):
-    """Write the summed k^2/d repulsion on each row of points (x, y).
-
-    ``x`` and ``y`` are (G, M): G independent blocks of M points.
-    ``dx[g, j, i] = x[g, i] - x[g, j]``, so the axis-1 sums run over j in
-    order. The distance is set to inf at the flat indices ``inf_at`` (self
-    pairs and padding), which makes those terms +-0. ``work`` holds the four
-    G x M x M arrays it writes, so it allocates none.
-    """
-    dx, dy, dist, sq = work
-    np.subtract(x[:, None, :], x[:, :, None], out=dx)
-    np.subtract(y[:, None, :], y[:, :, None], out=dy)
+def _pair_terms(dx, dy, k, inf_at, dist, sq):
+    """Turn differences (dx, dy) in place into k^2/d repulsion terms, with
+    work arrays ``dist`` and ``sq``. The distance is inf at the flat indices
+    ``inf_at`` (self pairs and padding), which makes those terms +-0."""
     np.multiply(dx, dx, out=dist)
     dist += np.multiply(dy, dy, out=sq)
     np.sqrt(dist, out=dist)
@@ -231,6 +222,20 @@ def _repulsion(x, y, k, out_x, out_y, work, inf_at):
     f = np.divide(k * k, dist, out=dist)
     dx *= f
     dy *= f
+
+
+def _repulsion(x, y, k, out_x, out_y, work, inf_at):
+    """Write the summed k^2/d repulsion on each row of points (x, y).
+
+    ``x`` and ``y`` are (G, M): G independent blocks of M points.
+    ``dx[g, j, i] = x[g, i] - x[g, j]``, so the axis-1 sums run over j in
+    order. ``work`` holds the four G x M x M arrays it writes, so it
+    allocates none; the first two are left holding the terms.
+    """
+    dx, dy, dist, sq = work
+    np.subtract(x[:, None, :], x[:, :, None], out=dx)
+    np.subtract(y[:, None, :], y[:, :, None], out=dy)
+    _pair_terms(dx, dy, k, inf_at, dist, sq)
     dx.sum(axis=1, out=out_x)
     dy.sum(axis=1, out=out_y)
 
@@ -241,6 +246,96 @@ def _self_and_padding(sizes, m):
     slot = np.arange(m)
     return np.flatnonzero((slot[:, None] == slot)
                           | (slot[:, None] >= sizes[:, None, None]))
+
+
+# A block is recomputed whole once its moved points' rows and columns would
+# cover more than this share of its terms, so moving every point costs one
+# pass: on the n=615 landmark drawing 1/2 ran as fast as 1, 5% faster than 1/3
+_PARTIAL_MAX_SHARE = 0.5
+
+
+class _Repulsion:
+    """The anneal's repulsion sums, with every pair term kept across steps.
+
+    The groups are contiguous slices of the points ``xy``: a (1, m, m) block
+    for each size m in ``large``, then one (G, M, M) block for all of
+    ``small``. :meth:`update` recomputes only the sender rows and receiver
+    columns of the points that moved, in one gather over all blocks, then
+    re-sums each touched block over its senders in order. A term depends on
+    its two points alone, and a column term is exactly the negated row term
+    (``0 - t`` keeps a zero +0), so the sums have the bits of a full pass.
+    """
+
+    def __init__(self, xy, k, large, small):
+        self.xy, self.k = xy, k
+        self.sums = np.zeros(xy.shape)
+        shapes = [(large[i:i + 1], m) for i, m in enumerate(large)]
+        shapes += [(small, int(small.max()))] if small.size else []
+        cost = [s.size * m * m for s, m in shapes]
+        self.terms = np.zeros((2, sum(cost)))
+        # a full pass's distance work, one buffer, not a fresh mmap per step
+        scratch = np.empty((2, max(cost, default=0)))
+        self.blocks, groups, self.shared = [], [], None
+        first = off = 0
+        for (sizes, m), e in zip(shapes, cost):
+            g = sizes.size
+            starts = first + np.cumsum(sizes) - sizes
+            slot = np.arange(m)
+            members = slice(first, first + int(sizes.sum()))
+            # a block of one works on views of its slice; the shared block
+            # gathers its points, padding a group with its last member so a
+            # receiver adds only +-0 after its real terms, and scatters sums
+            points, sums = np.s_[:, None, members], self.sums[:, None, members]
+            if g > 1:
+                points = np.s_[:, starts[:, None] + np.minimum(slot, sizes[:, None] - 1)]
+                sums = np.empty((2, g, m))
+                self.shared = (sums.reshape(2, -1), members,
+                               np.flatnonzero(slot < sizes[:, None]))
+            self.blocks.append((members, _PARTIAL_MAX_SHARE * g * m / 2, points,
+                                sums, [a[:e].reshape(g, m, m) for a in
+                                       (*self.terms[:, off:], *scratch)],
+                                _self_and_padding(sizes, m)))
+            groups.append(np.stack([starts, sizes, np.full(g, m),
+                                    off + np.arange(g) * m * m]))
+            first, off = members.stop, off + e
+        groups = np.concatenate([np.zeros((4, 0), dtype=np.int64), *groups], 1)
+        # per member: its group's first member and size, its block's width
+        # and the flat index of its group's first term
+        self.first, self.size, self.width, self.base = \
+            np.repeat(groups, groups[1], axis=1)
+
+    def update(self, moved):
+        """Bring the sums up to date after the points flagged in ``moved``."""
+        partial, count = [], 0
+        for block in self.blocks:
+            members, limit, points, sums, work, inf_at = block
+            count = np.count_nonzero(moved[members])
+            if count > limit:
+                _repulsion(*self.xy[points], self.k, *sums, work, inf_at)
+            elif count:
+                partial.append(block)
+        if partial:
+            v = np.concatenate([np.flatnonzero(moved[members]) + members.start
+                                for members, *_ in partial])
+            size, first = self.size[v], self.first[v]
+            j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+            owner, mate = np.repeat(v, size), np.repeat(first, size) + j
+            d = self.xy.take(mate, axis=1) - self.xy.take(owner, axis=1)
+            _pair_terms(*d, self.k, np.flatnonzero(mate == owner),
+                        *np.empty_like(d))
+            # the owner sends term (at, j) of its group and receives (j, at)
+            at, base, width = (np.repeat(a, size) for a in
+                               (v - first, self.base[v], self.width[v]))
+            for terms, t in zip(self.terms, d):
+                terms.put(base + at * width + j, t)
+                terms.put(base + j * width + at, np.subtract(0.0, t, out=t))
+            for _, _, _, sums, (tx, ty, *_), _ in partial:
+                tx.sum(axis=1, out=sums[0])
+                ty.sum(axis=1, out=sums[1])
+        # the shared block is the last
+        if self.shared is not None and count:
+            sums, members, real = self.shared
+            sums.take(real, axis=1, out=self.sums[:, members])
 
 
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
@@ -256,9 +351,10 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     and the result is the same bits as running every step.
 
     The vertices are renumbered so that every group is a contiguous slice,
-    and each coordinate is kept in its own array. A vertex still sums its
-    repulsion over its group in group order, then its edge pulls in edge
-    order, so the renumbering changes no bit of the result.
+    and the coordinates are the two rows of one array. A vertex still sums
+    its repulsion over its group in group order, then its edge pulls in edge
+    order, so the renumbering changes no bit of the result. Only pairs with
+    an endpoint that moved in the last step are recomputed (:class:`_Repulsion`).
     """
     n = pos.shape[0]
     groups = [idx for idx in (np.asarray(g, dtype=np.int64)
@@ -267,7 +363,6 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     # a group that would share with nobody keeps a block of its own
     shared = sizes <= _SHARED_BLOCK_MAX
     shared &= np.count_nonzero(shared) >= 2
-    large, small = sizes[~shared], sizes[shared]
     # the groups with a block of their own first, then those that share one
     grouped = np.concatenate([np.zeros(0, dtype=np.int64),
                               *(g for g, s in zip(groups, shared) if not s),
@@ -277,75 +372,38 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    xy = np.stack([pos[order, 0], pos[order, 1]])
-    x, y = xy
-    lo_x, lo_y = np.broadcast_to(lo, pos.shape)[order].T.copy()
-    hi_x, hi_y = np.broadcast_to(hi, pos.shape)[order].T.copy()
+    xy = pos[order].T.copy()
+    lo = np.broadcast_to(lo, pos.shape)[order].T.copy()
+    hi = np.broadcast_to(hi, pos.shape)[order].T.copy()
     a = rank[edges[:, 0]]
     b = rank[edges[:, 1]]
     # one bincount per coordinate adds, for each vertex, its repulsion, then
     # its -pull as a first endpoint, then its +pull as a second endpoint
     bins = np.concatenate([np.arange(n), a, b])
-    rep_x = np.zeros(n)
-    rep_y = np.zeros(n)
-    m_small = int(small.max(initial=0))
-    # Every block's work arrays are views of one buffer that every step
-    # reuses: per-step arrays of a few hundred KB would each be a fresh mmap,
-    # zeroed page by page, until the process first frees a larger block
-    scratch = np.empty((4, max(small.size * m_small ** 2,
-                               int(large.max(initial=0)) ** 2)))
-    own = []
-    for start, m in zip(np.cumsum(large) - large, large):
-        # a large group is a block of one on views of its own slice
-        s = slice(start, start + m)
-        own.append((x[s][None], y[s][None], rep_x[s][None], rep_y[s][None],
-                    tuple(row[:m * m].reshape(1, m, m) for row in scratch),
-                    _self_and_padding(np.array([m]), m)))
-    # the small groups share one block, gathered and scattered by index;
-    # padding repeats a group's last member after the real ones, so each
-    # receiver adds only +-0 after its real terms and no bit changes
-    members = slice(int(large.sum()), int(sizes.sum()))
-    slot = np.arange(m_small)
-    first = members.start + np.cumsum(small) - small
-    gather = first[:, None] + np.minimum(slot, small[:, None] - 1)
-    real_at = np.flatnonzero(slot < small[:, None])
-    shared_x, shared_y, shared_rx, shared_ry = np.empty((4, small.size, m_small))
-    shared_work = tuple(row[:small.size * m_small ** 2]
-                        .reshape(small.size, m_small, m_small) for row in scratch)
-    shared_inf_at = _self_and_padding(small, m_small)
+    repulsion = _Repulsion(xy, k, sizes[~shared], sizes[shared])
+    before, moved = np.empty_like(xy), np.ones(n, dtype=bool)
     for t in range(iterations):
         temp = temp0 * (1.0 - t / iterations)
-        for bx, by, out_x, out_y, work, inf_at in own:
-            _repulsion(bx, by, k, out_x, out_y, work, inf_at)
-        if small.size:
-            x.take(gather, out=shared_x)
-            y.take(gather, out=shared_y)
-            _repulsion(shared_x, shared_y, k, shared_rx, shared_ry,
-                       shared_work, shared_inf_at)
-            shared_rx.take(real_at, out=rep_x[members])
-            shared_ry.take(real_at, out=rep_y[members])
-        dx = x[a] - x[b]
-        dy = y[a] - y[b]
-        dist = np.sqrt(dx * dx + dy * dy)
+        repulsion.update(moved)
+        d = xy.take(a, axis=1) - xy.take(b, axis=1)
+        sq = d * d
+        dist = np.sqrt(sq[0] + sq[1])
         np.maximum(dist, _EPS_DIST, out=dist)
-        c = (dist / k) * norm_weights
-        dx *= c
-        dy *= c
-        disp_x = np.bincount(bins, np.concatenate([rep_x, -dx, dx]), n)
-        disp_y = np.bincount(bins, np.concatenate([rep_y, -dy, dy]), n)
-        lengths = np.sqrt(disp_x * disp_x + disp_y * disp_y)
-        scale = np.minimum(1.0, temp / np.maximum(lengths, _EPS_DIST))
-        disp_x *= scale
-        disp_y *= scale
-        before = xy.tobytes()
-        x += disp_x
-        y += disp_y
-        np.clip(x, lo_x, hi_x, out=x)
-        np.clip(y, lo_y, hi_y, out=y)
+        d *= (dist / k) * norm_weights
+        disp = np.array([np.bincount(bins, w, n) for w in
+                         np.concatenate([repulsion.sums, -d, d], axis=1)])
+        sq = disp * disp
+        lengths = np.sqrt(sq[0] + sq[1])
+        disp *= np.minimum(1.0, temp / np.maximum(lengths, _EPS_DIST))
+        np.copyto(before, xy)
+        xy += disp
+        # np.clip's max-then-min, without its per-call overhead
+        np.minimum(np.maximum(xy, lo, out=xy), hi, out=xy)
         # bit for bit, so that a -0 turned +0 counts as a move
-        if xy.tobytes() == before:
+        moved = np.logical_or(*(xy.view(np.int64) != before.view(np.int64)))
+        if not np.count_nonzero(moved):
             break
-    return np.column_stack([x, y])[rank]
+    return xy.T[rank]
 
 
 def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,

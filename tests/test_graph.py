@@ -402,6 +402,16 @@ class TestSummaryGraph:
         assert s.intra.tolist() == [1.0, 0.0, 0.0]
         assert s.edges.tolist() == [[0, 2]]
 
+    @pytest.mark.parametrize("top", [2, 46_339, 60_000])
+    def test_cluster_pair_key_beyond_int32(self, top):
+        # the pair (top - 1, top) is keyed (top - 1) * k + top with
+        # k = top + 1, which passes 2**31 at top = 60,000
+        g = path_graph(3)
+        s = summary_graph(g, Partition(np.array([top - 1, top - 1, top]), top + 1))
+        assert s.edges.tolist() == [[top - 1, top]]
+        assert s.weights.tolist() == [1.0]
+        assert s.intra[top - 1] == 1.0
+
     def test_size_mismatch(self):
         g = path_graph(3)
         p = Partition(np.array([0, 1]), 2)

@@ -183,6 +183,34 @@ def count_blocks(monkeypatch):
     return shapes
 
 
+def count_terms(monkeypatch):
+    """Record the shape of every batch of pair terms ``_anneal`` computes:
+    (G, M, M) for a whole block, (P,) for the rows of the points that moved."""
+    shapes = []
+    kernel = layout._pair_terms
+
+    def counting(dx, *args):
+        shapes.append(dx.shape)
+        return kernel(dx, *args)
+
+    monkeypatch.setattr(layout, "_pair_terms", counting)
+    return shapes
+
+
+def record_steps(monkeypatch):
+    """Record the moved mask, in ``_anneal``'s vertex order, that each step
+    hands to the repulsion; the first step's mask flags every vertex."""
+    masks = []
+    update = layout._Repulsion.update
+
+    def recording(self, moved):
+        masks.append(moved.copy())
+        return update(self, moved)
+
+    monkeypatch.setattr(layout._Repulsion, "update", recording)
+    return masks
+
+
 class TestAnneal:
     def grouped_input(self, seed, num_edges):
         """Shuffled groups of sizes 1..9 over a random subset of the
@@ -259,33 +287,119 @@ class TestAnneal:
                   norm_weights=np.zeros(0), iterations=50, k=20.0,
                   lo=np.array([0.0, 0.0]), hi=np.array([10.0, 10.0]),
                   temp0=3.0, repulsion_groups=[np.arange(2)])
-        shapes = count_blocks(monkeypatch)
+        steps = record_steps(monkeypatch)
         out = _anneal(**kw)
-        assert 1 < len(shapes) < kw["iterations"]
+        assert 1 < len(steps) < kw["iterations"]
         np.testing.assert_array_equal(out, reference_anneal(**kw))
         np.testing.assert_array_equal(out[:2], [[0.0, 0.0], [10.0, 10.0]])
-
-    def blocks_per_step(self, shapes, kw):
-        _anneal(**dict(kw, iterations=1))
-        per_step = len(shapes)
-        shapes.clear()
-        return per_step
 
     def test_degenerate_boxes_stop_after_one_step(self, monkeypatch):
         kw = self.grouped_input(0, 90)
         kw["hi"] = kw["lo"]
         kw["pos"] = kw["lo"].copy()
-        shapes = count_blocks(monkeypatch)
-        per_step = self.blocks_per_step(shapes, kw)
+        steps = record_steps(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        assert len(shapes) == per_step
+        assert len(steps) == 1
 
     def test_runs_every_step_when_it_never_settles(self, monkeypatch):
         kw = self.grouped_input(1, 90)
-        shapes = count_blocks(monkeypatch)
-        per_step = self.blocks_per_step(shapes, kw)
+        steps = record_steps(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        assert len(shapes) == kw["iterations"] * per_step
+        assert len(steps) == kw["iterations"]
+
+    def pinned_input(self, sizes, free, seed):
+        """Groups of ``sizes`` and three loose vertices, all joined by random
+        edges. The first ``free`` members of each group and the loose ones
+        have boxes too wide to reach in 30 steps; the rest are pinned in
+        zero-width boxes."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes) + 3
+        perm = rng.permutation(n)
+        cuts = np.cumsum([0] + sizes)
+        groups = [perm[s:e] for s, e in zip(cuts[:-1], cuts[1:])]
+        pos = rng.uniform(0.0, 60.0, (n, 2))
+        lo, hi = pos - 400.0, pos + 400.0
+        for idx in groups:
+            lo[idx[free:]] = hi[idx[free:]] = pos[idx[free:]]
+        edges = np.stack([rng.integers(0, n, 120), rng.integers(0, n, 120)], 1)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        return dict(pos=pos, edges=edges,
+                    norm_weights=rng.uniform(0.1, 1.0, len(edges)),
+                    iterations=30, k=7.0, lo=lo, hi=hi, temp0=9.0,
+                    repulsion_groups=groups)
+
+    @pytest.mark.parametrize("sizes", [[45], [4, 9, 12, 14], [60, 3, 7, 16]])
+    def test_pinned_majority_recomputes_few_terms(self, monkeypatch, sizes):
+        # one free point per group moves while the rest sit still, so after
+        # the first step only the moved points' rows are recomputed
+        kw = self.pinned_input(sizes, free=1, seed=len(sizes))
+        shapes = count_terms(monkeypatch)
+        steps = record_steps(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert sum(len(s) == 1 for s in shapes) == len(steps) - 1
+        computed = sum(np.prod(s) for s in shapes)
+        assert computed <= 0.2 * len(steps) * sum(m * m for m in sizes)
+
+    def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
+        # summary mode: one group, every point moves in every step
+        rng = np.random.default_rng(5)
+        n = 30
+        kw = dict(pos=rng.random((n, 2)) * 100.0,
+                  edges=np.stack([np.arange(n), (np.arange(n) + 1) % n], 1),
+                  norm_weights=rng.uniform(0.1, 1.0, n), iterations=25,
+                  k=18.0, lo=np.array([-1e6, -1e6]), hi=np.array([1e6, 1e6]),
+                  temp0=14.0, repulsion_groups=[np.arange(n)])
+        shapes = count_terms(monkeypatch)
+        steps = record_steps(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert len(steps) == kw["iterations"]
+        assert all(mask.all() for mask in steps)
+        assert shapes == [(1, n, n)] * kw["iterations"]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_moving_point_leaves_its_pinned_double(self, monkeypatch, shared):
+        # vertex 1 sits pinned on vertex 0's start; 0 is pulled away along
+        # its edge while the other members of the group stay pinned
+        rng = np.random.default_rng(11)
+        size = 20 if not shared else 8
+        n = size + 4
+        pos = rng.uniform(0.0, 50.0, (n, 2))
+        pos[1] = pos[0]
+        lo, hi = pos.copy(), pos.copy()
+        lo[0], hi[0] = pos[0] - 30.0, pos[0] + 30.0
+        lo[size:], hi[size:] = pos[size:] - 30.0, pos[size:] + 30.0
+        groups = [np.arange(size)]
+        if shared:
+            groups.append(np.arange(size, size + 3))
+        edges = np.array([[0, n - 1], [size, n - 1]])
+        kw = dict(pos=pos, edges=edges, norm_weights=np.array([1.0, 0.5]),
+                  iterations=20, k=6.0, lo=lo, hi=hi, temp0=5.0,
+                  repulsion_groups=groups)
+        shapes = count_terms(monkeypatch)
+        out = _anneal(**kw)
+        np.testing.assert_array_equal(out, reference_anneal(**kw))
+        assert not np.array_equal(out[0], out[1])
+        assert any(len(s) == 1 for s in shapes)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_group_moves_again_after_standing_still(self, monkeypatch, shared):
+        # vertex 0 sits in the corner of its box, pushed there by its pinned
+        # group mates; vertex 2 climbs a track, and once it is high enough
+        # its edge pulls 0 out of the corner
+        pos = np.array([[0.0, 0.0], [5.0, 5.0], [8.0, 3.0], [3.0, 8.0],
+                        [-20.0, -20.0], [-20.0, 500.0], [30.0, 30.0]])
+        lo, hi = pos.copy(), pos.copy()
+        hi[0] = [10.0, 10.0]
+        lo[4], hi[4] = [-20.0, -100.0], [-20.0, 600.0]
+        groups = [np.arange(4)] + [np.array([4, 5])] * shared
+        kw = dict(pos=pos, edges=np.array([[0, 4], [4, 5]]),
+                  norm_weights=np.array([1.0, 1.0]), iterations=40, k=6.0,
+                  lo=lo, hi=hi, temp0=2.0, repulsion_groups=groups)
+        steps = record_steps(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        # the group is vertices 0-3 in the anneal's order too
+        still = [not mask[:4].any() for mask in steps[1:]]
+        assert all(still[:5]) and not all(still)
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.integers(1, 45), min_size=1, max_size=7),

@@ -131,11 +131,13 @@ class TestTracedPeak:
 
     # Measured at n=300 (2,237 edges) with every vertex its own cluster:
     # the cluster sums hold a few arrays over the edges and the clusters,
-    # 61 KB for the modularity and 206 KB for the summary graph, or 27 and
-    # 92 bytes an edge (2.1 and 2.2 n x n arrays when they summed a dense
-    # block over the nonempty clusters and added its transpose). Two int64
-    # cluster ids per edge alone take 0.05 n x n arrays here, so the bound
-    # is 0.05 arrays for what grows with the clusters plus 100 bytes an edge.
+    # 64 KB for the modularity and 143 KB for the summary graph, or 29 and
+    # 64 bytes an edge (2.1 and 2.2 n x n arrays when they summed a dense
+    # block over the nonempty clusters and added its transpose; 92 bytes an
+    # edge for the summary graph when its cluster ids were int64). Two int64
+    # cluster ids per edge alone take 0.05 n x n arrays here, so the
+    # modularity's bound is 0.05 arrays for what grows with the clusters
+    # plus 100 bytes an edge, and the summary graph's is 66 bytes an edge.
     def test_cluster_sums_grow_with_edges_not_cluster_pairs(self):
         g = path_graph(8)
         part = Partition(np.arange(8) % 3, 3000)
@@ -144,7 +146,7 @@ class TestTracedPeak:
         singletons = Partition(np.arange(N), N)
         bound = 0.05 * 8 * N * N + 100 * g.num_edges
         assert traced(lambda: q_modularity(g, singletons))[1] <= bound
-        assert traced(lambda: summary_graph(g, singletons))[1] <= bound
+        assert traced(lambda: summary_graph(g, singletons))[1] <= 66 * g.num_edges
 
 
 @pytest.fixture(scope="module")
