@@ -340,6 +340,27 @@ class TestAnneal:
         computed = sum(np.prod(s) for s in shapes)
         assert computed <= 0.2 * len(steps) * sum(m * m for m in sizes)
 
+    def test_sparse_shared_block_fills_by_rows_on_the_first_step(
+            self, monkeypatch):
+        # six pairs padded to the width of a group of 16: every member's row
+        # and column cover no more than half the block, so even the first
+        # step, from zeroed terms, writes rows instead of a full pass
+        rng = np.random.default_rng(4)
+        sizes = [2] * 6 + [16]
+        n = sum(sizes)
+        cuts = np.cumsum([0] + sizes)
+        groups = [np.arange(s, e) for s, e in zip(cuts[:-1], cuts[1:])]
+        pos = rng.uniform(0.0, 50.0, (n, 2))
+        edges = np.stack([rng.integers(0, n, 40), rng.integers(0, n, 40)], 1)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        kw = dict(pos=pos, edges=edges,
+                  norm_weights=rng.uniform(0.1, 1.0, len(edges)),
+                  iterations=10, k=6.0, lo=pos - 30.0, hi=pos + 30.0,
+                  temp0=4.0, repulsion_groups=groups)
+        shapes = count_terms(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert len(shapes[0]) == 1
+
     def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
         # summary mode: one group, every point moves in every step
         rng = np.random.default_rng(5)

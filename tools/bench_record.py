@@ -7,7 +7,7 @@ Usage, from the repository root:
 PARENT and CHANGE are two checkouts of this repository. Each pair runs
 ``perfbench/run.py --all`` once from each tree, as its own process with the
 tree's own ``perfbench/`` and sources: the parent first in even pairs, the
-change first in odd ones, so drift of the host during the session falls on
+change first in odd ones, so drift of the host over the runs falls on
 both sides alike. ``--seconds`` (default: ``run_seconds`` of
 ``BENCHMARK.json``) and ``--seed`` are passed on to every run.
 
