@@ -252,11 +252,11 @@ class ClusterSummaryGraph:
     """One node per cluster id, one edge per connected cluster pair.
 
     Four read-only arrays: ``sizes`` (k,) holds each cluster's vertex count
-    and ``intra`` (k,) its internal weight; ``edges`` (E, 2) holds each
-    connected pair of clusters once, with ``a < b``, in ascending order, and
-    ``weights`` (E,) the positive weight summed over the edges between them.
-    Built by :func:`summary_graph`; the scene built from it checks what is
-    drawn.
+    and ``intra`` (k,) its internal weight; ``edges`` (E, 2), int32, holds
+    each connected pair of clusters once, with ``a < b``, in ascending
+    order, and ``weights`` (E,) the positive weight summed over the edges
+    between them. Built by :func:`summary_graph`; the scene built from it
+    checks what is drawn.
     """
 
     sizes: np.ndarray
@@ -303,6 +303,7 @@ def summary_graph(g: WeightedGraph, p: Partition) -> ClusterSummaryGraph:
     # each direction is summed on its own in edge order, then the two are
     # added: summary drawings and DOT files depend on this order to the bit
     half = np.bincount(2 * at + (ci > cj), w, 2 * pairs.size).astype(np.float64)
-    return ClusterSummaryGraph(p.sizes(), intra,
-                               np.column_stack(np.divmod(pairs, p.k)),
-                               half[0::2] + half[1::2])
+    # ids below k fit int32 whatever the dtype of the keys
+    edges = np.empty((pairs.size, 2), dtype=np.int32)
+    np.divmod(pairs, p.k, out=(edges[:, 0], edges[:, 1]), casting="unsafe")
+    return ClusterSummaryGraph(p.sizes(), intra, edges, half[0::2] + half[1::2])

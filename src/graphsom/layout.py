@@ -39,8 +39,9 @@ _CELL_MARGIN = 0.05
 
 # Repulsion groups up to this size share one padded block; larger ones get a
 # block each. On the n=615 landmark drawing (seeds 10 / 11, 2-vCPU x86, numpy
-# 2.4) a step took a median 499 / 643 us at 16, 535 / 629 at 32, 537 / 601 at
-# 64 and 665 / 766 with no sharing, so padding pays and 16 keeps it smallest
+# 2.4) the full layout took a median 0.48 / 0.70 s at 16, 0.48 / 0.69 at 32,
+# 0.48 / 0.71 at 64 and 0.63 / 0.92 with no sharing: padding pays, and 16
+# keeps the padded block smallest
 _SHARED_BLOCK_MAX = 16
 
 
@@ -248,94 +249,86 @@ def _self_and_padding(sizes, m):
                           | (slot[:, None] >= sizes[:, None, None]))
 
 
-# A block is recomputed whole once its moved points' rows and columns would
-# cover more than this share of its terms, so moving every point costs one
-# pass: on the n=615 landmark drawing 1/2 ran as fast as 1, 5% faster than 1/3
+# A lone block is recomputed whole once its moved points' rows and columns
+# would cover more than this share of its terms, so a step that moves every
+# point costs one pass. On the n=615 landmark drawing 1/3, 1/2 and 1 ran
+# within noise of each other; at 1/2 the moved rows fill a quarter block
 _PARTIAL_MAX_SHARE = 0.5
 
 
 class _Repulsion:
-    """The anneal's repulsion sums, with every pair term kept across steps.
+    """The anneal's repulsion sums, brought up to date step by step.
 
     The groups are contiguous slices of the points ``xy``: a (1, m, m) block
     for each size m in ``large``, then one (G, M, M) block for all of
-    ``small``. :meth:`update` recomputes only the sender rows and receiver
-    columns of the points that moved, in one gather over all blocks, then
-    re-sums each touched block over its senders in order. A term depends on
-    its two points alone, and a column term is exactly the negated row term
-    (``0 - t`` keeps a zero +0), so the sums have the bits of a full pass.
+    ``small``. A lone block keeps its pair terms across steps and recomputes
+    only the sender rows and receiver columns of the points that moved, then
+    re-sums over its senders in order. A term depends on its two points
+    alone, and a column term is exactly the negated row term (``0 - t`` keeps
+    a zero +0), so the sums have the bits of a full pass. The shared block
+    is recomputed whole in every step after one of its points moved.
     """
 
     def __init__(self, xy, k, large, small):
         self.xy, self.k = xy, k
         self.sums = np.zeros(xy.shape)
-        shapes = [(large[i:i + 1], m) for i, m in enumerate(large)]
-        shapes += [(small, int(small.max()))] if small.size else []
-        cost = [s.size * m * m for s, m in shapes]
-        self.terms = np.zeros((2, sum(cost)))
-        # a full pass's distance work, one buffer, not a fresh mmap per step
-        scratch = np.empty((2, max(cost, default=0)))
-        self.blocks, groups, self.shared = [], [], None
-        first = off = 0
-        for (sizes, m), e in zip(shapes, cost):
-            g = sizes.size
-            starts = first + np.cumsum(sizes) - sizes
-            slot = np.arange(m)
-            members = slice(first, first + int(sizes.sum()))
-            # a block of one works on views of its slice; the shared block
-            # gathers its points, padding a group with its last member so a
-            # receiver adds only +-0 after its real terms, and scatters sums
-            points, sums = np.s_[:, None, members], self.sums[:, None, members]
-            if g > 1:
-                points = np.s_[:, starts[:, None] + np.minimum(slot, sizes[:, None] - 1)]
-                sums = np.empty((2, g, m))
-                self.shared = (sums.reshape(2, -1), members,
-                               np.flatnonzero(slot < sizes[:, None]))
-            self.blocks.append((members, _PARTIAL_MAX_SHARE * g * m / 2, points,
-                                sums, [a[:e].reshape(g, m, m) for a in
-                                       (*self.terms[:, off:], *scratch)],
-                                _self_and_padding(sizes, m)))
-            groups.append(np.stack([starts, sizes, np.full(g, m),
-                                    off + np.arange(g) * m * m]))
-            first, off = members.stop, off + e
-        groups = np.concatenate([np.zeros((4, 0), dtype=np.int64), *groups], 1)
-        # per member: its group's first member and size, its block's width
-        # and the flat index of its group's first term
-        self.first, self.size, self.width, self.base = \
-            np.repeat(groups, groups[1], axis=1)
+        m_small = int(small.max(initial=0))
+        # a full pass's distance work, one buffer, not a fresh mmap per step;
+        # a partial pass's rows, a quarter of a block at most, fit in it too
+        self.scratch = np.empty((2, max(small.size * m_small ** 2,
+                                        int(large.max(initial=0)) ** 2)))
+        self.lone = []
+        for start, m in zip(np.cumsum(large).tolist(), large.tolist()):
+            # views in tuples and plain ints: on a summary drawing's block of
+            # 50, numpy scalars and unpacking cost a fifth of the full pass
+            s = slice(start - m, start)
+            self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2,
+                              tuple(xy[:, None, s]), tuple(self.sums[:, None, s]),
+                              self._work(np.zeros((2, 1, m, m))),
+                              _self_and_padding(np.array([m]), m)))
+        # the small groups share one block, gathered and scattered by index;
+        # padding repeats a group's last member after the real ones, so each
+        # receiver adds only +-0 after its real terms and no bit changes
+        self.members = slice(int(large.sum()), int(large.sum() + small.sum()))
+        slot = np.arange(m_small)
+        first = self.members.start + np.cumsum(small) - small
+        self.gather = first[:, None] + np.minimum(slot, small[:, None] - 1)
+        self.real_at = np.flatnonzero(slot < small[:, None])
+        self.points, self.shared_sums = np.empty((2, 2, small.size, m_small))
+        self.shared_work = self._work(np.empty((2, small.size, m_small, m_small)))
+        self.shared_inf_at = _self_and_padding(small, m_small)
+
+    def _work(self, terms):
+        """A full pass's work arrays: the two of ``terms``, then two views of
+        the scratch of the same shape."""
+        e, shape = terms[0].size, terms[0].shape
+        return (*terms, *(a[:e].reshape(shape) for a in self.scratch))
 
     def update(self, moved):
         """Bring the sums up to date after the points flagged in ``moved``."""
-        partial, count = [], 0
-        for block in self.blocks:
-            members, limit, points, sums, work, inf_at = block
-            count = np.count_nonzero(moved[members])
+        for s, m, limit, points, sums, work, inf_at in self.lone:
+            count = np.count_nonzero(moved[s])
             if count > limit:
-                _repulsion(*self.xy[points], self.k, *sums, work, inf_at)
+                _repulsion(*points, self.k, *sums, work, inf_at)
             elif count:
-                partial.append(block)
-        if partial:
-            v = np.concatenate([np.flatnonzero(moved[members]) + members.start
-                                for members, *_ in partial])
-            size, first = self.size[v], self.first[v]
-            j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-            owner, mate = np.repeat(v, size), np.repeat(first, size) + j
-            d = self.xy.take(mate, axis=1) - self.xy.take(owner, axis=1)
-            _pair_terms(*d, self.k, np.flatnonzero(mate == owner),
-                        *np.empty_like(d))
-            # the owner sends term (at, j) of its group and receives (j, at)
-            at, base, width = (np.repeat(a, size) for a in
-                               (v - first, self.base[v], self.width[v]))
-            for terms, t in zip(self.terms, d):
-                terms.put(base + at * width + j, t)
-                terms.put(base + j * width + at, np.subtract(0.0, t, out=t))
-            for _, _, _, sums, (tx, ty, *_), _ in partial:
-                tx.sum(axis=1, out=sums[0])
-                ty.sum(axis=1, out=sums[1])
-        # the shared block is the last
-        if self.shared is not None and count:
-            sums, members, real = self.shared
-            sums.take(real, axis=1, out=self.sums[:, members])
+                # the moved points' sender rows, in the head of the scratch
+                u = np.flatnonzero(moved[s])
+                rows = self.scratch.reshape(-1)[:4 * count * m]
+                rows = rows.reshape(4, count, m)
+                np.subtract(self.xy[:, None, s], self.xy[:, s, None][:, u],
+                            out=rows[:2])
+                _pair_terms(*rows[:2], self.k, u + m * np.arange(count),
+                            *rows[2:])
+                for t, row, total in zip(work, rows[:2], sums):
+                    t[0, u] = row
+                    t[0, :, u] = np.subtract(0.0, row, out=row)
+                    t.sum(axis=1, out=total)
+        if self.real_at.size and np.count_nonzero(moved[self.members]):
+            self.xy.take(self.gather, axis=1, out=self.points)
+            _repulsion(*self.points, self.k, *self.shared_sums,
+                       self.shared_work, self.shared_inf_at)
+            self.shared_sums.reshape(2, -1).take(
+                self.real_at, axis=1, out=self.sums[:, self.members])
 
 
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
@@ -353,8 +346,9 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     The vertices are renumbered so that every group is a contiguous slice,
     and the coordinates are the two rows of one array. A vertex still sums
     its repulsion over its group in group order, then its edge pulls in edge
-    order, so the renumbering changes no bit of the result. Only pairs with
-    an endpoint that moved in the last step are recomputed (:class:`_Repulsion`).
+    order, so the renumbering changes no bit of the result. A group's
+    repulsion is recomputed only where a point moved in the last step
+    (:class:`_Repulsion`).
     """
     n = pos.shape[0]
     groups = [idx for idx in (np.asarray(g, dtype=np.int64)
@@ -382,6 +376,9 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     bins = np.concatenate([np.arange(n), a, b])
     repulsion = _Repulsion(xy, k, sizes[~shared], sizes[shared])
     before, moved = np.empty_like(xy), np.ones(n, dtype=bool)
+    # bit for bit, so that a -0 turned +0 counts as a move
+    bits, bits_before = xy.view(np.int64), before.view(np.int64)
+    changed = np.empty(xy.shape, dtype=bool)
     for t in range(iterations):
         temp = temp0 * (1.0 - t / iterations)
         repulsion.update(moved)
@@ -399,9 +396,8 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
         xy += disp
         # np.clip's max-then-min, without its per-call overhead
         np.minimum(np.maximum(xy, lo, out=xy), hi, out=xy)
-        # bit for bit, so that a -0 turned +0 counts as a move
-        moved = np.logical_or(*(xy.view(np.int64) != before.view(np.int64)))
-        if not np.count_nonzero(moved):
+        np.not_equal(bits, bits_before, out=changed)
+        if not np.count_nonzero(np.logical_or(changed[0], changed[1], out=moved)):
             break
     return xy.T[rank]
 

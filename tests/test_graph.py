@@ -409,6 +409,7 @@ class TestSummaryGraph:
         g = path_graph(3)
         s = summary_graph(g, Partition(np.array([top - 1, top - 1, top]), top + 1))
         assert s.edges.tolist() == [[top - 1, top]]
+        assert s.edges.dtype == np.int32
         assert s.weights.tolist() == [1.0]
         assert s.intra[top - 1] == 1.0
 

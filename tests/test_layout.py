@@ -185,7 +185,8 @@ def count_blocks(monkeypatch):
 
 def count_terms(monkeypatch):
     """Record the shape of every batch of pair terms ``_anneal`` computes:
-    (G, M, M) for a whole block, (P,) for the rows of the points that moved."""
+    (G, M, M) for a whole block, (P, m) for the rows of the P points that
+    moved in a lone block of m."""
     shapes = []
     kernel = layout._pair_terms
 
@@ -328,38 +329,20 @@ class TestAnneal:
                     iterations=30, k=7.0, lo=lo, hi=hi, temp0=9.0,
                     repulsion_groups=groups)
 
-    @pytest.mark.parametrize("sizes", [[45], [4, 9, 12, 14], [60, 3, 7, 16]])
+    @pytest.mark.parametrize("sizes", [[45], [40, 25, 70], [60, 3, 7, 16]])
     def test_pinned_majority_recomputes_few_terms(self, monkeypatch, sizes):
         # one free point per group moves while the rest sit still, so after
-        # the first step only the moved points' rows are recomputed
+        # the first step a lone group recomputes only that point's row and
+        # column; the small groups share a block that is recomputed whole
         kw = self.pinned_input(sizes, free=1, seed=len(sizes))
         shapes = count_terms(monkeypatch)
         steps = record_steps(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        assert sum(len(s) == 1 for s in shapes) == len(steps) - 1
-        computed = sum(np.prod(s) for s in shapes)
-        assert computed <= 0.2 * len(steps) * sum(m * m for m in sizes)
-
-    def test_sparse_shared_block_fills_by_rows_on_the_first_step(
-            self, monkeypatch):
-        # six pairs padded to the width of a group of 16: every member's row
-        # and column cover no more than half the block, so even the first
-        # step, from zeroed terms, writes rows instead of a full pass
-        rng = np.random.default_rng(4)
-        sizes = [2] * 6 + [16]
-        n = sum(sizes)
-        cuts = np.cumsum([0] + sizes)
-        groups = [np.arange(s, e) for s, e in zip(cuts[:-1], cuts[1:])]
-        pos = rng.uniform(0.0, 50.0, (n, 2))
-        edges = np.stack([rng.integers(0, n, 40), rng.integers(0, n, 40)], 1)
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        kw = dict(pos=pos, edges=edges,
-                  norm_weights=rng.uniform(0.1, 1.0, len(edges)),
-                  iterations=10, k=6.0, lo=pos - 30.0, hi=pos + 30.0,
-                  temp0=4.0, repulsion_groups=groups)
-        shapes = count_terms(monkeypatch)
-        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        assert len(shapes[0]) == 1
+        lone = [m for m in sizes if m > layout._SHARED_BLOCK_MAX]
+        assert [s for s in shapes if len(s) == 2] == \
+            [(1, m) for m in lone] * (len(steps) - 1)
+        computed = sum(np.prod(s) for s in shapes if len(s) == 2 or s[0] == 1)
+        assert computed <= 0.2 * len(steps) * sum(m * m for m in lone)
 
     def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
         # summary mode: one group, every point moves in every step
@@ -400,7 +383,8 @@ class TestAnneal:
         out = _anneal(**kw)
         np.testing.assert_array_equal(out, reference_anneal(**kw))
         assert not np.array_equal(out[0], out[1])
-        assert any(len(s) == 1 for s in shapes)
+        # a lone group recomputes the moved point's row and column only
+        assert any(len(s) == 2 for s in shapes) == (not shared)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_group_moves_again_after_standing_still(self, monkeypatch, shared):

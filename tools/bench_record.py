@@ -2,21 +2,22 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_record.py LABEL PARENT CHANGE [--pairs N] [--seconds S] [--seed N]
+    python3 tools/bench_record.py LABEL PARENT CHANGE
 
-PARENT and CHANGE are two checkouts of this repository. Each pair runs
-``perfbench/run.py --all`` once from each tree, as its own process with the
-tree's own ``perfbench/`` and sources: the parent first in even pairs, the
-change first in odd ones, so drift of the host over the runs falls on
-both sides alike. ``--seconds`` (default: ``run_seconds`` of
-``BENCHMARK.json``) and ``--seed`` are passed on to every run.
+PARENT and CHANGE are two checkouts of this repository whose
+``BENCHMARK.json`` must be the same; the tool exits 1 before any run if it
+is not. Each of ten pairs runs ``perfbench/run.py --all`` once from each
+tree, with its ``run_seconds`` and default seed, as its own process with
+the tree's own ``perfbench/`` and sources: the parent first in even pairs,
+the change first in odd ones, so drift of the host over the runs falls on
+both sides alike.
 
 ``BENCH_<LABEL>.json`` at the repository root then holds the benchmark
 definition, the run order, every run's exit status and the rest of the
-record ``--all`` wrote (the environment header with the tree's commit, and
-both workloads' metrics), and, per side, workload and end-to-end metric,
-the median and quartiles over the runs. The exit status is 1 if any run
-failed.
+record ``--all`` wrote (the environment header with the tree's commit, the
+seed and both workloads' metrics), and, per side, workload and end-to-end
+metric, the median and quartiles over the runs. The exit status is 1 if any
+run failed.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# pairs of runs: a gain is claimed only if it shows in nine of ten
+PAIRS = 10
 
 
-def run_once(tree: str, seconds: float | None, seed: int | None) -> dict:
+def benchmark(tree: str) -> dict:
+    """The benchmark definition, ``BENCHMARK.json``, of ``tree``."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def run_once(tree: str) -> dict:
     """One ``perfbench/run.py --all`` from ``tree``: its exit status and
     the record it wrote, or None if it wrote none."""
     tree = os.path.abspath(tree)
@@ -39,10 +48,6 @@ def run_once(tree: str, seconds: float | None, seed: int | None) -> dict:
     if os.path.exists(results):
         os.remove(results)
     argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--all"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
     status = subprocess.run(argv, cwd=tree).returncode
     record = None
     if os.path.exists(results):
@@ -79,28 +84,27 @@ def main(argv=None) -> int:
     parser.add_argument("label", help="names the record BENCH_<label>.json")
     parser.add_argument("parent", help="source tree of the parent commit")
     parser.add_argument("change", help="source tree of the change")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="parent/change pairs to run (default 10)")
-    parser.add_argument("--seconds", type=float,
-                        help="measuring time per workload (default: run_seconds)")
-    parser.add_argument("--seed", type=int, help="workload seed")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent, "change": args.change}
+    spec = benchmark(args.parent)
+    if benchmark(args.change) != spec:
+        print("the two trees' BENCHMARK.json differ; nothing was run",
+              file=sys.stderr)
+        return 1
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             print(f"pair {pair}: {side}", flush=True)
-            runs.append({"pair": pair, "side": side,
-                         **run_once(trees[side], args.seconds, args.seed)})
-    # every record repeats the benchmark definition; keep it once
-    specs = [run["record"].pop("benchmark") for run in runs if run["record"]]
+            runs.append({"pair": pair, "side": side, **run_once(trees[side])})
+    # every record repeats its tree's benchmark definition; keep it once
+    if any(run["record"].pop("benchmark") != spec
+           for run in runs if run["record"]):
+        print("a run's benchmark definition changed; no record written",
+              file=sys.stderr)
+        return 1
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"label": args.label, "pairs": args.pairs,
-                   "seconds": args.seconds, "seed": args.seed,
-                   "benchmark": specs[0] if specs else None,
+        json.dump({"label": args.label, "benchmark": spec,
                    "order": [[run["pair"], run["side"]] for run in runs],
                    "summary": summary(runs), "runs": runs}, fh, indent=1)
         fh.write("\n")
