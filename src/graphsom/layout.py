@@ -8,7 +8,7 @@ All of them produce a :class:`LayoutScene`, which the SVG/DOT writers accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -195,11 +195,10 @@ class LayoutScene:
         return int(self.positions.shape[0])
 
 
-def _normalized_widths(weights: np.ndarray) -> np.ndarray:
+def _over_largest(weights) -> np.ndarray:
+    """Weights divided by their largest value; an empty array stays empty."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        return w.copy()
-    return _MAX_EDGE_WIDTH * (w / w.max())
+    return w / w.max() if w.size else w
 
 
 def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
@@ -285,7 +284,7 @@ class _Repulsion:
             self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2,
                               tuple(xy[:, None, s]), tuple(self.sums[:, None, s]),
                               self._work(np.zeros((2, 1, m, m))),
-                              _self_and_padding(np.array([m]), m)))
+                              np.arange(m) * (m + 1)))
         # the small groups share one block, gathered and scattered by index;
         # padding repeats a group's last member after the real ones, so each
         # receiver adds only +-0 after its real terms and no bit changes
@@ -402,6 +401,25 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     return xy.T[rank]
 
 
+def _spring(boxes, edges, weights, groups, frame: Rect, iterations: int,
+            seed: int) -> np.ndarray:
+    """Anneal items drawn uniformly under ``seed`` in their boxes, rows of
+    (x, y, width, height) that also clip them, repelling within ``groups``;
+    k = sqrt(frame area / n) and the temperature starts at frame diagonal / 10."""
+    if iterations < 1:
+        raise UsageError(f"iterations must be at least 1, got {iterations}")
+    if frame.width <= 0 or frame.height <= 0:
+        raise ValueError("frame must have positive width and height")
+    n = boxes.shape[0]
+    origin, span = boxes[:, :2], boxes[:, 2:]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pos = origin + rng.random((n, 2)) * span
+    return _anneal(pos, edges, _over_largest(weights), iterations,
+                   k=float(np.sqrt(frame.area / n)), lo=origin,
+                   hi=origin + span, temp0=frame.diagonal / 10.0,
+                   repulsion_groups=groups)
+
+
 def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
                           frame: Rect, seed: int) -> LayoutScene:
     """Lay out the summary graph with spring forces inside ``frame``.
@@ -414,28 +432,15 @@ def force_directed_layout(sg: ClusterSummaryGraph, iterations: int,
     first step that moves no node, so ``iterations`` is an upper bound and
     the result has the same bits as running every step. Starting positions
     are drawn uniformly from the frame under ``seed``, so the result is a
-    pure function of (sg, iterations, frame, seed).
+    pure function of (sg, iterations, frame, seed). A lone node sits at the
+    frame's centre.
     """
-    if iterations < 1:
-        raise UsageError(f"iterations must be at least 1, got {iterations}")
-    if frame.width <= 0 or frame.height <= 0:
-        raise ValueError("frame must have positive width and height")
     n = sg.num_clusters
-    if n == 1:
-        pos = np.array([frame.center], dtype=np.float64)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        origin = np.array([frame.x, frame.y])
-        span = np.array([frame.width, frame.height])
-        pos = origin + rng.random((n, 2)) * span
-        weights = sg.weights
-        norm_w = weights / weights.max() if weights.size else weights
-        lo = np.array([frame.x, frame.y])
-        hi = np.array([frame.x1, frame.y1])
-        pos = _anneal(pos, sg.edges, norm_w, iterations,
-                      k=float(np.sqrt(frame.area / n)), lo=lo, hi=hi,
-                      temp0=frame.diagonal / 10.0,
-                      repulsion_groups=[np.arange(n)])
+    # a lone node's box is the frame's centre point, which pins it there
+    box = ((frame.x, frame.y, frame.width, frame.height) if n > 1
+           else (*frame.center, 0.0, 0.0))
+    pos = _spring(np.tile(box, (n, 1)), sg.edges, sg.weights, [np.arange(n)],
+                  frame, iterations, seed)
     return _summary_scene(sg, pos, frame)
 
 
@@ -446,7 +451,7 @@ def _summary_scene(sg: ClusterSummaryGraph, pos: np.ndarray, frame: Rect,
         positions=pos,
         radii=_summary_radii(sg.sizes, frame),
         edges=sg.edges,
-        edge_widths=_normalized_widths(sg.weights),
+        edge_widths=_MAX_EDGE_WIDTH * _over_largest(sg.weights),
         frame=frame,
         item_labels=tuple(map(str, range(sg.num_clusters))),
         item_groups=np.arange(sg.num_clusters),
@@ -492,40 +497,25 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
     first step that moves no vertex, with the same bits as running every
     step. Deterministic under ``seed``.
     """
-    if iterations < 1:
-        raise UsageError(f"iterations must be at least 1, got {iterations}")
     if model.num_vertices != g.num_vertices:
         raise ValueError(
             f"map was trained on {model.num_vertices} vertices, "
             f"graph has {g.num_vertices}")
-    grid = model.grid
     unit_of = model.assignment
-
-    frame, cells = _grid_frame_and_cells(grid)
-    inner = [cell.shrunk(_CELL_MARGIN) for cell in cells]
-    lo = np.array([[inner[u].x, inner[u].y] for u in unit_of])
-    hi = np.array([[inner[u].x1, inner[u].y1] for u in unit_of])
-
-    n = g.num_vertices
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pos = lo + rng.random((n, 2)) * (hi - lo)
-
+    frame, cells = _grid_frame_and_cells(model.grid)
+    inner = np.array([astuple(cell.shrunk(_CELL_MARGIN)) for cell in cells])
     i, j, weights = g.edge_arrays
     edges = np.stack((i, j), axis=1)
-    norm_w = weights / weights.max() if weights.size else weights
-
-    groups = [np.flatnonzero(unit_of == u) for u in range(grid.num_units)]
-    pos = _anneal(pos, edges, norm_w, iterations,
-                  k=float(np.sqrt(frame.area / n)), lo=lo, hi=hi,
-                  temp0=frame.diagonal / 10.0,
-                  repulsion_groups=groups)
+    groups = [np.flatnonzero(unit_of == u) for u in range(len(cells))]
+    pos = _spring(inner[unit_of], edges, weights, groups, frame, iterations,
+                  seed)
 
     part = som_partition(model)
     return LayoutScene(
         positions=pos,
-        radii=np.full(n, CELL_SIDE / 30.0),
+        radii=np.full(g.num_vertices, CELL_SIDE / 30.0),
         edges=edges,
-        edge_widths=_normalized_widths(weights),
+        edge_widths=_MAX_EDGE_WIDTH * _over_largest(weights),
         frame=frame,
         item_labels=g.labels,
         item_groups=part.assignment,

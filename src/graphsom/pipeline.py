@@ -145,8 +145,15 @@ def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
     Each output goes to a fresh temporary file in its target's directory;
     only when all of them are written are they renamed over their targets,
     in order. If any write fails, the temporary files are deleted and every
-    target keeps its old bytes.
+    target keeps its old bytes. Two outputs that name one file are refused
+    before anything is written, since the later one would replace the other.
     """
+    seen = {}
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"outputs {seen[real]} and {path} name the same file")
+        seen[real] = path
     staged = []
     try:
         for i, (path, data) in enumerate(outputs):

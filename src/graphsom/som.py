@@ -21,7 +21,7 @@ sizable fraction of random inputs. On a 1x2 grid all these rules coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -226,9 +226,8 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
         gamma = _update_gamma(gamma, influence)
         dist2 = space.dist2(gamma)
         trace.append(float((influence * dist2).sum()))
-    assignment = _smoothed_bmu(dist2, hn)
-    return SomModel(grid, gamma, assignment, np.array(trace),
-                    _umatrix(space, grid, gamma))
+    model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))
+    return replace(model, umatrix=u_matrix(model, space))
 
 
 def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
@@ -316,30 +315,26 @@ def _prototype_distances(space: _FeatureSpace, gamma: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _umatrix(space: _FeatureSpace, grid: SomGrid, gamma: np.ndarray) -> UMatrix:
-    dist = _prototype_distances(space, gamma)
-    values = np.zeros(grid.num_units)
-    for m in range(grid.num_units):
-        nbrs = grid.grid_neighbors(m)
-        values[m] = float(np.mean(dist[m, nbrs])) if nbrs else 0.0
-    return UMatrix(values.reshape(grid.rows, grid.cols))
-
-
 def u_matrix(model: SomModel, data) -> UMatrix:
     """Mean feature-space distance from each prototype to its grid neighbors.
 
     ``data`` must be what the model was trained on: a KernelMatrix for
     kernel-trained models, or the n x p coordinate array for explicit ones
-    (a bare ndarray is always treated as coordinates). Trained models carry
-    this result as ``model.umatrix`` already.
+    (a bare ndarray is always treated as coordinates). Training stores this
+    result, computed on its own feature space, as ``model.umatrix``.
     """
     if model.gamma is None:
         raise ValueError("a model read from a document has no gamma; use model.umatrix")
-    space = _FeatureSpace(data)
+    space = data if isinstance(data, _FeatureSpace) else _FeatureSpace(data)
     if space.n != model.num_vertices:
         raise ValueError(f"{space.what} does not match the model's "
                          f"{model.num_vertices} vertices")
-    return _umatrix(space, model.grid, model.gamma)
+    grid, dist = model.grid, _prototype_distances(space, model.gamma)
+    values = np.zeros(grid.num_units)
+    for m in range(grid.num_units):
+        nbrs = grid.grid_neighbors(m)
+        values[m] = float(np.mean(dist[m, nbrs])) if nbrs else 0.0
+    return UMatrix(values.reshape(grid.rows, grid.cols))
 
 
 def som_partition(model: SomModel) -> Partition:

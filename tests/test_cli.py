@@ -486,6 +486,28 @@ class TestNoPartialOutputs:
         assert not out.exists()
         assert sorted(os.listdir(tmp_path)) == ["r.json", "tri.tsv"]
 
+    @pytest.mark.parametrize("report", ["p.json", "./p.json"])
+    def test_cluster_outputs_naming_one_file(self, tmp_path, triangle,
+                                             monkeypatch, capsys, report):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_bytes(b"earlier bytes\n")
+        assert cluster_spectral(triangle, "p.json", report) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert (tmp_path / "p.json").read_bytes() == b"earlier bytes\n"
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
+
+    @pytest.mark.parametrize("dot", ["o.svg", "./o.svg"])
+    def test_layout_outputs_naming_one_file(self, tmp_path, triangle,
+                                            monkeypatch, capsys, dot):
+        monkeypatch.chdir(tmp_path)
+        assert cluster_spectral(triangle, "p.json") == 0
+        code = main(["layout", "--mode", "summary", "--input", triangle,
+                     "--partition", "p.json", "--svg", "o.svg",
+                     "--dot", dot, "--seed", "0"])
+        assert code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
+
     def test_success_replaces_existing_output(self, tmp_path, triangle):
         out = tmp_path / "p.json"
         report = tmp_path / "r.json"

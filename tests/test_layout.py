@@ -533,6 +533,24 @@ class TestForceDirectedLayout:
         assert scene.edges.shape == (0, 2)
         assert scene.edge_widths.shape == (0,)
 
+    def test_matches_the_reference_from_its_stated_start(self):
+        # nodes start uniformly in the frame; k = sqrt(area / n) and the
+        # temperature starts at a tenth of the diagonal, as documented
+        sg = summary_graph(random_graph(24, rng=0),
+                           Partition(np.arange(24) % 5, 5))
+        frame = Rect(13.7, 5.3, 640.1, 480.3)
+        n = sg.num_clusters
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        start = (np.array([frame.x, frame.y])
+                 + rng.random((n, 2)) * [frame.width, frame.height])
+        expect = reference_anneal(
+            start, sg.edges, sg.weights / sg.weights.max(), 300,
+            k=np.sqrt(frame.area / n), lo=[frame.x, frame.y],
+            hi=[frame.x1, frame.y1], temp0=frame.diagonal / 10.0,
+            repulsion_groups=[np.arange(n)])
+        scene = force_directed_layout(sg, 300, frame, seed=7)
+        np.testing.assert_array_equal(scene.positions, expect)
+
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             force_directed_layout(self.summary_two(), 10,
@@ -648,6 +666,28 @@ class TestConstrainedFullLayout:
         assert scene.item_labels == g.labels
         assert scene.group_sizes.tolist() == [3, 3]
         assert scene.item_groups.tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_matches_the_reference_from_its_stated_start(self):
+        # each vertex starts uniformly in its unit's inner cell, which also
+        # clips it; k and the start temperature come from the whole frame
+        g = random_graph(30, rng=9)
+        assignment = np.random.default_rng(1).integers(0, 5, 30)
+        model = uniform_model(SomGrid(2, 3), assignment)
+        frame = Rect(0.0, 0.0, 3 * CELL_SIDE, 2 * CELL_SIDE)
+        inner = [Rect((u % 3) * CELL_SIDE, (u // 3) * CELL_SIDE, CELL_SIDE,
+                      CELL_SIDE).shrunk(0.05) for u in assignment]
+        origin = np.array([[box.x, box.y] for box in inner])
+        span = np.array([[box.width, box.height] for box in inner])
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        start = origin + rng.random((30, 2)) * span
+        i, j, w = g.edge_arrays
+        expect = reference_anneal(
+            start, np.stack((i, j), axis=1), w / w.max(), 200,
+            k=np.sqrt(frame.area / 30), lo=origin, hi=origin + span,
+            temp0=frame.diagonal / 10.0,
+            repulsion_groups=[np.flatnonzero(assignment == u) for u in range(6)])
+        scene = constrained_full_layout(g, model, 200, seed=4)
+        np.testing.assert_array_equal(scene.positions, expect)
 
     def test_vertex_count_mismatch_rejected(self):
         g = two_cliques(10)
