@@ -37,14 +37,11 @@ DEFAULT_RESTARTS = 10
 class KMeansResult:
     """Best-of-restarts clustering outcome.
 
-    ``centers`` is None for the kernel variant, where cluster means exist only
-    implicitly as uniform convex combinations of member feature vectors.
     ``energy_trace`` holds the winning restart's within-cluster energy after
     each Lloyd iteration; ``within_energy`` is its final entry.
     """
 
     partition: Partition
-    centers: np.ndarray | None
     within_energy: float
     energy_trace: np.ndarray
     iterations: int
@@ -111,7 +108,7 @@ def _repair_empty(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
 
 
 def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
-    """One seeded Lloyd run: assignment, k x n mean weights, energy trace."""
+    """One seeded Lloyd run: assignment and energy trace."""
     n = space.n
     d2 = space.dist2_to(int(rng.integers(n)))
     seed_dist2 = [d2]
@@ -136,7 +133,7 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
         gamma = onehot.T / counts[:, None]
         dist2 = space.dist2(gamma)
         trace.append(float(dist2[np.arange(n), assign].sum()))
-    return assign, gamma, np.array(trace)
+    return assign, np.array(trace)
 
 
 def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
@@ -148,7 +145,7 @@ def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
     best = None
     for rng in _spawned_rngs(seed, restarts):
         run = _lloyd(space, k, rng)
-        if best is None or run[2][-1] < best[2][-1]:
+        if best is None or run[1][-1] < best[1][-1]:
             best = run
     return best
 
@@ -163,10 +160,9 @@ def kmeans(points, k: int, seed: int,
     assignment stops changing or 300 iterations pass. The minimum-energy
     restart wins; earlier restarts win ties.
     """
-    space = _FeatureSpace(points)
-    assign, gamma, trace = _best_lloyd(space, k, seed, restarts)
-    return KMeansResult(Partition(assign, k), gamma @ space.points,
-                        float(trace[-1]), trace, int(trace.size))
+    assign, trace = _best_lloyd(_FeatureSpace(points), k, seed, restarts)
+    return KMeansResult(Partition(assign, k), float(trace[-1]), trace,
+                        int(trace.size))
 
 
 def kernel_kmeans(kernel, k: int, seed: int,
@@ -179,8 +175,8 @@ def kernel_kmeans(kernel, k: int, seed: int,
     :func:`kmeans`, draw for draw.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    assign, _, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)
-    return KMeansResult(Partition(assign, k), None, float(trace[-1]), trace,
+    assign, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)
+    return KMeansResult(Partition(assign, k), float(trace[-1]), trace,
                         int(trace.size))
 
 

@@ -37,12 +37,13 @@ _EPS_DIST = 1e-9
 # fraction of a cell kept clear on each side in constrained mode
 _CELL_MARGIN = 0.05
 
-# Repulsion groups up to this size share one padded block; larger ones get a
-# block each. On the n=615 landmark drawing (seeds 10 / 11, 2-vCPU x86, numpy
-# 2.4) the full layout took a median 0.48 / 0.70 s at 16, 0.48 / 0.69 at 32,
-# 0.48 / 0.71 at 64 and 0.63 / 0.92 with no sharing: padding pays, and 16
-# keeps the padded block smallest
-_SHARED_BLOCK_MAX = 16
+# Repulsion groups up to this size list their pairs; larger ones get a block
+# each. On the n=615 landmark drawing (seeds 10 / 11, 2-vCPU x86, numpy 2.4,
+# 40 interleaved rounds) the full layout took a median 0.346 / 0.488 s at 16,
+# 0.342 / 0.466 at 32 and 0.342 / 0.472 at 64 (0.59 / 0.75 with no list, in
+# 20 other rounds). At 64 the 50-cluster summary of the n=1500 workload lists
+# its pairs and took 25% longer than in its block; at 32, 1% longer
+_PAIR_LIST_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
 def _pair_terms(dx, dy, k, inf_at, dist, sq):
     """Turn differences (dx, dy) in place into k^2/d repulsion terms, with
     work arrays ``dist`` and ``sq``. The distance is inf at the flat indices
-    ``inf_at`` (self pairs and padding), which makes those terms +-0."""
+    ``inf_at`` (self pairs), which makes those terms +0."""
     np.multiply(dx, dx, out=dist)
     dist += np.multiply(dy, dy, out=sq)
     np.sqrt(dist, out=dist)
@@ -225,27 +226,19 @@ def _pair_terms(dx, dy, k, inf_at, dist, sq):
 
 
 def _repulsion(x, y, k, out_x, out_y, work, inf_at):
-    """Write the summed k^2/d repulsion on each row of points (x, y).
+    """Write the summed k^2/d repulsion on each of the m points (x, y).
 
-    ``x`` and ``y`` are (G, M): G independent blocks of M points.
-    ``dx[g, j, i] = x[g, i] - x[g, j]``, so the axis-1 sums run over j in
-    order. ``work`` holds the four G x M x M arrays it writes, so it
-    allocates none; the first two are left holding the terms.
+    ``dx[j, i] = x[i] - x[j]`` is the push of sender j on receiver i, so the
+    axis-0 sums run over the senders in order. ``work`` holds the four m x m
+    arrays it writes, so it allocates none; the first two are left holding
+    the terms.
     """
     dx, dy, dist, sq = work
-    np.subtract(x[:, None, :], x[:, :, None], out=dx)
-    np.subtract(y[:, None, :], y[:, :, None], out=dy)
+    np.subtract(x[None, :], x[:, None], out=dx)
+    np.subtract(y[None, :], y[:, None], out=dy)
     _pair_terms(dx, dy, k, inf_at, dist, sq)
-    dx.sum(axis=1, out=out_x)
-    dy.sum(axis=1, out=out_y)
-
-
-def _self_and_padding(sizes, m):
-    """Flat indices of the self pairs and of the padded senders in a
-    (len(sizes), m, m) block whose row g holds sizes[g] real points."""
-    slot = np.arange(m)
-    return np.flatnonzero((slot[:, None] == slot)
-                          | (slot[:, None] >= sizes[:, None, None]))
+    dx.sum(axis=0, out=out_x)
+    dy.sum(axis=0, out=out_y)
 
 
 # A lone block is recomputed whole once its moved points' rows and columns
@@ -258,53 +251,58 @@ _PARTIAL_MAX_SHARE = 0.5
 class _Repulsion:
     """The anneal's repulsion sums, brought up to date step by step.
 
-    The groups are contiguous slices of the points ``xy``: a (1, m, m) block
-    for each size m in ``large``, then one (G, M, M) block for all of
-    ``small``. A lone block keeps its pair terms across steps and recomputes
-    only the sender rows and receiver columns of the points that moved, then
-    re-sums over its senders in order. A term depends on its two points
-    alone, and a column term is exactly the negated row term (``0 - t`` keeps
-    a zero +0), so the sums have the bits of a full pass. The shared block
-    is recomputed whole in every step after one of its points moved.
+    The groups are contiguous slices of the points ``xy``: first the groups
+    of each size in ``small``, then those of each size m in ``large``. The
+    small groups share one flat list of the ordered pairs (receiver, sender)
+    of distinct members, sorted by receiver, then sender. In every step after
+    one of their points moved, the list's terms are recomputed and summed
+    per receiver by a bincount from +0; that drops only the +0 of each self
+    pair, so a sum differs from a block's at most in the sign of a zero,
+    which the anneal's own bincount from +0 absorbs.
+
+    A large group is an m x m block that keeps its pair terms across steps
+    and recomputes only the sender rows and receiver columns of the points
+    that moved, then re-sums over its senders in order. A term depends on
+    its two points alone, and a column term is exactly the negated row term
+    (``0 - t`` keeps a zero +0), so the sums have the bits of a full pass.
     """
 
-    def __init__(self, xy, k, large, small):
+    def __init__(self, xy, k, small, large):
         self.xy, self.k = xy, k
         self.sums = np.zeros(xy.shape)
-        m_small = int(small.max(initial=0))
+        starts = np.cumsum([0, *small]).tolist()
+        self.members = starts[-1]
+        self.recv, self.send = np.concatenate([np.zeros((2, 0), np.intp), *(
+            f + np.array(np.nonzero(~np.eye(m, dtype=bool)))
+            for f, m in zip(starts, small))], axis=1)
+        self.terms = np.empty((2, self.recv.size))
         # a full pass's distance work, one buffer, not a fresh mmap per step;
         # a partial pass's rows, a quarter of a block at most, fit in it too
-        self.scratch = np.empty((2, max(small.size * m_small ** 2,
-                                        int(large.max(initial=0)) ** 2)))
+        self.scratch = np.empty(2 * max(self.terms.shape[1],
+                                        max(large, default=0) ** 2))
         self.lone = []
-        for start, m in zip(np.cumsum(large).tolist(), large.tolist()):
+        for start, m in zip(np.cumsum([self.members, *large]).tolist(), large):
             # views in tuples and plain ints: on a summary drawing's block of
             # 50, numpy scalars and unpacking cost a fifth of the full pass
-            s = slice(start - m, start)
+            s = slice(start, start + m)
             self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2,
-                              tuple(xy[:, None, s]), tuple(self.sums[:, None, s]),
-                              self._work(np.zeros((2, 1, m, m))),
+                              tuple(xy[:, s]), tuple(self.sums[:, s]),
+                              (*np.zeros((2, m, m)),
+                               *self.scratch[:2 * m * m].reshape(2, m, m)),
                               np.arange(m) * (m + 1)))
-        # the small groups share one block, gathered and scattered by index;
-        # padding repeats a group's last member after the real ones, so each
-        # receiver adds only +-0 after its real terms and no bit changes
-        self.members = slice(int(large.sum()), int(large.sum() + small.sum()))
-        slot = np.arange(m_small)
-        first = self.members.start + np.cumsum(small) - small
-        self.gather = first[:, None] + np.minimum(slot, small[:, None] - 1)
-        self.real_at = np.flatnonzero(slot < small[:, None])
-        self.points, self.shared_sums = np.empty((2, 2, small.size, m_small))
-        self.shared_work = self._work(np.empty((2, small.size, m_small, m_small)))
-        self.shared_inf_at = _self_and_padding(small, m_small)
-
-    def _work(self, terms):
-        """A full pass's work arrays: the two of ``terms``, then two views of
-        the scratch of the same shape."""
-        e, shape = terms[0].size, terms[0].shape
-        return (*terms, *(a[:e].reshape(shape) for a in self.scratch))
 
     def update(self, moved):
         """Bring the sums up to date after the points flagged in ``moved``."""
+        if np.count_nonzero(moved[:self.members]):
+            d = self.terms
+            work = self.scratch[:d.size].reshape(d.shape)
+            # mode="clip" writes straight into out; "raise" would buffer it
+            self.xy.take(self.recv, axis=1, out=d, mode="clip")
+            self.xy.take(self.send, axis=1, out=work, mode="clip")
+            np.subtract(d, work, out=d)
+            _pair_terms(*d, self.k, (), *work)
+            for terms, total in zip(d, self.sums[:, :self.members]):
+                total[:] = np.bincount(self.recv, terms, self.members)
         for s, m, limit, points, sums, work, inf_at in self.lone:
             count = np.count_nonzero(moved[s])
             if count > limit:
@@ -312,22 +310,15 @@ class _Repulsion:
             elif count:
                 # the moved points' sender rows, in the head of the scratch
                 u = np.flatnonzero(moved[s])
-                rows = self.scratch.reshape(-1)[:4 * count * m]
-                rows = rows.reshape(4, count, m)
+                rows = self.scratch[:4 * count * m].reshape(4, count, m)
                 np.subtract(self.xy[:, None, s], self.xy[:, s, None][:, u],
                             out=rows[:2])
                 _pair_terms(*rows[:2], self.k, u + m * np.arange(count),
                             *rows[2:])
                 for t, row, total in zip(work, rows[:2], sums):
-                    t[0, u] = row
-                    t[0, :, u] = np.subtract(0.0, row, out=row)
-                    t.sum(axis=1, out=total)
-        if self.real_at.size and np.count_nonzero(moved[self.members]):
-            self.xy.take(self.gather, axis=1, out=self.points)
-            _repulsion(*self.points, self.k, *self.shared_sums,
-                       self.shared_work, self.shared_inf_at)
-            self.shared_sums.reshape(2, -1).take(
-                self.real_at, axis=1, out=self.sums[:, self.members])
+                    t[u] = row
+                    t[:, u] = np.subtract(0.0, row, out=row).T
+                    t.sum(axis=0, out=total)
 
 
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
@@ -343,23 +334,19 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     and the result is the same bits as running every step.
 
     The vertices are renumbered so that every group is a contiguous slice,
-    and the coordinates are the two rows of one array. A vertex still sums
-    its repulsion over its group in group order, then its edge pulls in edge
-    order, so the renumbering changes no bit of the result. A group's
-    repulsion is recomputed only where a point moved in the last step
-    (:class:`_Repulsion`).
+    the groups of at most ``_PAIR_LIST_MAX`` first, and the coordinates are
+    the two rows of one array. A vertex still sums its repulsion over its
+    group in group order, then its edge pulls in edge order, so the
+    renumbering changes no bit of the result. A large group's repulsion is
+    recomputed only where a point moved in the last step, and the small
+    groups' pair list whole once one of its points moved (:class:`_Repulsion`).
     """
     n = pos.shape[0]
     groups = [idx for idx in (np.asarray(g, dtype=np.int64)
                               for g in repulsion_groups) if idx.size >= 2]
-    sizes = np.array([idx.size for idx in groups], dtype=np.int64)
-    # a group that would share with nobody keeps a block of its own
-    shared = sizes <= _SHARED_BLOCK_MAX
-    shared &= np.count_nonzero(shared) >= 2
-    # the groups with a block of their own first, then those that share one
-    grouped = np.concatenate([np.zeros(0, dtype=np.int64),
-                              *(g for g, s in zip(groups, shared) if not s),
-                              *(g for g, s in zip(groups, shared) if s)])
+    small = [g for g in groups if g.size <= _PAIR_LIST_MAX]
+    large = [g for g in groups if g.size > _PAIR_LIST_MAX]
+    grouped = np.concatenate([np.zeros(0, dtype=np.int64), *small, *large])
     rest = np.setdiff1d(np.arange(n), grouped)
     order = np.concatenate([grouped, rest])
     rank = np.empty(n, dtype=np.int64)
@@ -373,7 +360,8 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     # one bincount per coordinate adds, for each vertex, its repulsion, then
     # its -pull as a first endpoint, then its +pull as a second endpoint
     bins = np.concatenate([np.arange(n), a, b])
-    repulsion = _Repulsion(xy, k, sizes[~shared], sizes[shared])
+    repulsion = _Repulsion(xy, k, [g.size for g in small],
+                           [g.size for g in large])
     before, moved = np.empty_like(xy), np.ones(n, dtype=bool)
     # bit for bit, so that a -0 turned +0 counts as a move
     bits, bits_before = xy.view(np.int64), before.view(np.int64)

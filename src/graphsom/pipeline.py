@@ -139,21 +139,27 @@ def document_bytes(doc: dict) -> bytes:
                        allow_nan=False) + "\n").encode("utf-8")
 
 
+def _refuse_shared_target(*paths) -> None:
+    """Refuse two outputs that name one file, since the later one would
+    replace the other; run before any input is read. ``None`` is no output."""
+    seen = {}
+    for path in paths:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"outputs {seen[real]} and {path} name the same file")
+        seen[real] = path
+
+
 def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
     """Write every ``(path, data)`` pair of one command, or none of them.
 
     Each output goes to a fresh temporary file in its target's directory;
     only when all of them are written are they renamed over their targets,
     in order. If any write fails, the temporary files are deleted and every
-    target keeps its old bytes. Two outputs that name one file are refused
-    before anything is written, since the later one would replace the other.
+    target keeps its old bytes.
     """
-    seen = {}
-    for path, _ in outputs:
-        real = os.path.realpath(path)
-        if real in seen:
-            raise UsageError(f"outputs {seen[real]} and {path} name the same file")
-        seen[real] = path
     staged = []
     try:
         for i, (path, data) in enumerate(outputs):
@@ -335,6 +341,7 @@ def run_cluster(config: RunConfig) -> dict:
     ``{"partition": doc, "report": doc or None}`` with the documents that
     were written.
     """
+    _refuse_shared_target(config.out, config.report)
     cfg = config.resolved()
     g = load_edge_list(config.input)
     method, seed = config.method, config.seed
@@ -524,6 +531,7 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
     draws every vertex inside its unit's cell. ``map`` and ``full`` need a
     document with a model block. Returns the scene that was rendered.
     """
+    _refuse_shared_target(svg_path, dot_path)
     # only layout draws, so only it imports the drawing modules
     from .layout import Rect, constrained_full_layout, force_directed_layout, \
         som_map_scene

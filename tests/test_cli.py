@@ -508,6 +508,24 @@ class TestNoPartialOutputs:
         assert "name the same file" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
 
+    # refused before the input is read: a missing one would exit 3
+    def test_cluster_outputs_naming_one_file_before_input(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cluster_spectral("missing.tsv", "p.json", "./p.json") == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_layout_outputs_naming_one_file_before_input(self, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["layout", "--mode", "full", "--input", "missing.tsv",
+                     "--model", "missing.json", "--svg", "o.svg",
+                     "--dot", "./o.svg", "--seed", "0"])
+        assert code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_success_replaces_existing_output(self, tmp_path, triangle):
         out = tmp_path / "p.json"
         report = tmp_path / "r.json"

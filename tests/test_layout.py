@@ -171,7 +171,7 @@ def reference_anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
 
 
 def count_blocks(monkeypatch):
-    """Record the (G, M) shape of every repulsion block ``_anneal`` runs."""
+    """Record the (m,) shape of every whole lone block ``_anneal`` runs."""
     shapes = []
     kernel = layout._repulsion
 
@@ -185,8 +185,8 @@ def count_blocks(monkeypatch):
 
 def count_terms(monkeypatch):
     """Record the shape of every batch of pair terms ``_anneal`` computes:
-    (G, M, M) for a whole block, (P, m) for the rows of the P points that
-    moved in a lone block of m."""
+    (m, m) for a whole lone block, (P, m) for the rows of the P points that
+    moved in one, and (L,) for the L pairs of the small groups' list."""
     shapes = []
     kernel = layout._pair_terms
 
@@ -249,16 +249,18 @@ class TestAnneal:
                   iterations=20, k=20.0, lo=np.array([0.0, 0.0]),
                   hi=np.array([100.0, 100.0]), temp0=14.0,
                   repulsion_groups=[np.arange(n)])
-        shapes = count_blocks(monkeypatch)
+        blocks = count_blocks(monkeypatch)
+        shapes = count_terms(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        # a small group that shares with nobody is a block of one, unpadded
-        assert set(shapes) == {(1, n)}
+        # a lone group within the bound lists its n (n - 1) pairs, no block
+        assert n <= layout._PAIR_LIST_MAX
+        assert blocks == [] and set(shapes) == {(n * (n - 1),)}
 
     def test_matches_reference_across_the_shared_block_max(self, monkeypatch):
-        # groups on both sides of the shared block's size; a coincident pair
-        # in a shared and in a lone group, so padding meets zero distances
+        # groups on both sides of the pair list's bound; a coincident pair
+        # in a listed and in a lone group, so both meet zero distances
         rng = np.random.default_rng(3)
-        m = layout._SHARED_BLOCK_MAX
+        m = layout._PAIR_LIST_MAX
         sizes = [1, 2, 9, m, m + 1, 70]
         n = sum(sizes) + 5
         perm = rng.permutation(n)
@@ -277,9 +279,12 @@ class TestAnneal:
                   iterations=15, k=7.0, lo=lo, hi=hi, temp0=9.0,
                   repulsion_groups=groups)
         shapes = count_blocks(monkeypatch)
+        terms = count_terms(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        # m + 1 and 70 alone on their slices; 2, 9 and m padded to m together
-        assert set(shapes) == {(1, m + 1), (1, 70), (3, m)}
+        # m + 1 and 70 alone on their slices; 2, 9 and m in one pair list
+        assert set(shapes) == {(m + 1,), (70,)}
+        listed = [s for s in terms if len(s) == 1]
+        assert listed and set(listed) == {(2 * 1 + 9 * 8 + m * (m - 1),)}
 
     def test_stops_at_the_first_step_that_moves_nothing(self, monkeypatch):
         # the pair is pushed into opposite corners of its box and stays there
@@ -333,21 +338,21 @@ class TestAnneal:
     def test_pinned_majority_recomputes_few_terms(self, monkeypatch, sizes):
         # one free point per group moves while the rest sit still, so after
         # the first step a lone group recomputes only that point's row and
-        # column; the small groups share a block that is recomputed whole
+        # column; the small groups' pair list is recomputed whole
         kw = self.pinned_input(sizes, free=1, seed=len(sizes))
         shapes = count_terms(monkeypatch)
         steps = record_steps(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
-        lone = [m for m in sizes if m > layout._SHARED_BLOCK_MAX]
+        lone = [m for m in sizes if m > layout._PAIR_LIST_MAX]
         assert [s for s in shapes if len(s) == 2] == \
-            [(1, m) for m in lone] * (len(steps) - 1)
-        computed = sum(np.prod(s) for s in shapes if len(s) == 2 or s[0] == 1)
+            [(m, m) for m in lone] + [(1, m) for m in lone] * (len(steps) - 1)
+        computed = sum(np.prod(s) for s in shapes if len(s) == 2)
         assert computed <= 0.2 * len(steps) * sum(m * m for m in lone)
 
     def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
         # summary mode: one group, every point moves in every step
         rng = np.random.default_rng(5)
-        n = 30
+        n = layout._PAIR_LIST_MAX + 8
         kw = dict(pos=rng.random((n, 2)) * 100.0,
                   edges=np.stack([np.arange(n), (np.arange(n) + 1) % n], 1),
                   norm_weights=rng.uniform(0.1, 1.0, n), iterations=25,
@@ -358,14 +363,26 @@ class TestAnneal:
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
         assert len(steps) == kw["iterations"]
         assert all(mask.all() for mask in steps)
-        assert shapes == [(1, n, n)] * kw["iterations"]
+        assert shapes == [(n, n)] * kw["iterations"]
+
+    def test_small_summary_runs_on_the_pair_list(self, monkeypatch):
+        # a summary of 12 clusters repels through its 12 * 11 listed pairs,
+        # recomputed in every step, and has no block
+        sg = summary_graph(random_graph(48, rng=6),
+                           Partition(np.arange(48) % 12, 12))
+        blocks = count_blocks(monkeypatch)
+        shapes = count_terms(monkeypatch)
+        steps = record_steps(monkeypatch)
+        force_directed_layout(sg, 40, Rect(0.0, 0.0, 300.0, 200.0), seed=3)
+        assert blocks == []
+        assert shapes == [(12 * 11,)] * len(steps)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_moving_point_leaves_its_pinned_double(self, monkeypatch, shared):
         # vertex 1 sits pinned on vertex 0's start; 0 is pulled away along
         # its edge while the other members of the group stay pinned
         rng = np.random.default_rng(11)
-        size = 20 if not shared else 8
+        size = layout._PAIR_LIST_MAX + 4 if not shared else 8
         n = size + 4
         pos = rng.uniform(0.0, 50.0, (n, 2))
         pos[1] = pos[0]
@@ -384,7 +401,9 @@ class TestAnneal:
         np.testing.assert_array_equal(out, reference_anneal(**kw))
         assert not np.array_equal(out[0], out[1])
         # a lone group recomputes the moved point's row and column only
-        assert any(len(s) == 2 for s in shapes) == (not shared)
+        assert ((1, size) in shapes) == (not shared)
+        # the small groups recompute their 8 * 7 + 3 * 2 listed pairs
+        assert ((62,) in shapes) == shared
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_group_moves_again_after_standing_still(self, monkeypatch, shared):
@@ -550,6 +569,16 @@ class TestForceDirectedLayout:
             repulsion_groups=[np.arange(n)])
         scene = force_directed_layout(sg, 300, frame, seed=7)
         np.testing.assert_array_equal(scene.positions, expect)
+
+    def test_huge_frame_stays_finite(self):
+        # k^2 / eps^2 overflows here, so a block's self pair must be masked,
+        # not computed as 0 * inf
+        n = layout._PAIR_LIST_MAX + 8
+        sg = summary_graph(random_graph(3 * n, rng=2),
+                           Partition(np.arange(3 * n) % n, n))
+        frame = Rect(0.0, 0.0, 1e146, 1e146)
+        scene = force_directed_layout(sg, 30, frame, seed=0)
+        assert np.isfinite(scene.positions).all()
 
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError, match="positive"):

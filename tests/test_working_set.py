@@ -169,6 +169,24 @@ class TestTracedPeak:
                   hi=hi, temp0=1.0, repulsion_groups=[np.arange(m)])
         assert peak_arrays(lambda: _anneal(**kw), m) <= 4.58
 
+    # Measured at m=200 in groups of 16, a quarter of the points free: the
+    # small groups' pair list holds its receivers and senders, their terms
+    # and the work buffer, 32 bytes a pair and 16 more in the scratch, for
+    # 0.57 arrays (0.66 in one padded (13, 16, 16) block; 0.66 when the
+    # receivers and senders were copied out of one (pairs, 2) array).
+    def test_anneal_pair_list_of_small_groups(self):
+        m = 200
+        rng = np.random.default_rng(0)
+        pos = rng.uniform(0.0, 100.0, (m, 2))
+        lo, hi = pos.copy(), pos.copy()
+        free = rng.permutation(m)[:m // 4]
+        lo[free], hi[free] = pos[free] - 1e3, pos[free] + 1e3
+        groups = [np.arange(s, min(s + 16, m)) for s in range(0, m, 16)]
+        kw = dict(pos=pos, edges=np.zeros((0, 2), dtype=np.int64),
+                  norm_weights=np.zeros(0), iterations=20, k=5.0, lo=lo,
+                  hi=hi, temp0=1.0, repulsion_groups=groups)
+        assert peak_arrays(lambda: _anneal(**kw), m) <= 0.66
+
 
 @pytest.fixture(scope="module")
 def command_inputs(tmp_path_factory):
