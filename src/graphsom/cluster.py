@@ -128,9 +128,8 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k).astype(np.float64)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), assign] = 1.0
-        gamma = onehot.T / counts[:, None]
+        gamma = np.zeros((k, n))
+        gamma[assign, np.arange(n)] = 1.0 / counts[assign]
         dist2 = space.dist2(gamma)
         trace.append(float(dist2[np.arange(n), assign].sum()))
     return assign, np.array(trace)

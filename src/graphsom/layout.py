@@ -209,36 +209,21 @@ def _summary_radii(counts: np.ndarray, frame: Rect) -> np.ndarray:
     return r0 * np.sqrt(counts)
 
 
-def _pair_terms(dx, dy, k, inf_at, dist, sq):
-    """Turn differences (dx, dy) in place into k^2/d repulsion terms, with
-    work arrays ``dist`` and ``sq``. The distance is inf at the flat indices
-    ``inf_at`` (self pairs), which makes those terms +0."""
-    np.multiply(dx, dx, out=dist)
-    dist += np.multiply(dy, dy, out=sq)
+def _pair_terms(d, k, inf_at, work):
+    """Turn the (2, ...) differences ``d`` in place into k^2/d repulsion
+    terms, with the (2, ...) work pair ``work``. The distance is inf at the
+    flat indices ``inf_at`` (self pairs), which makes those terms +0."""
+    dist, sq = work
+    np.multiply(d[0], d[0], out=dist)
+    dist += np.multiply(d[1], d[1], out=sq)
     np.sqrt(dist, out=dist)
     np.maximum(dist, _EPS_DIST, out=dist)
     np.put(dist, inf_at, np.inf)
-    # (dx, dy) / dist * (k^2 / dist), folded into one factor
+    # (dx, dy) * k^2 / dist^2, a row at a time: d *= f would buffer f
     dist *= dist
     f = np.divide(k * k, dist, out=dist)
-    dx *= f
-    dy *= f
-
-
-def _repulsion(x, y, k, out_x, out_y, work, inf_at):
-    """Write the summed k^2/d repulsion on each of the m points (x, y).
-
-    ``dx[j, i] = x[i] - x[j]`` is the push of sender j on receiver i, so the
-    axis-0 sums run over the senders in order. ``work`` holds the four m x m
-    arrays it writes, so it allocates none; the first two are left holding
-    the terms.
-    """
-    dx, dy, dist, sq = work
-    np.subtract(x[None, :], x[:, None], out=dx)
-    np.subtract(y[None, :], y[:, None], out=dy)
-    _pair_terms(dx, dy, k, inf_at, dist, sq)
-    dx.sum(axis=0, out=out_x)
-    dy.sum(axis=0, out=out_y)
+    d[0] *= f
+    d[1] *= f
 
 
 # A lone block is recomputed whole once its moved points' rows and columns
@@ -260,11 +245,12 @@ class _Repulsion:
     pair, so a sum differs from a block's at most in the sign of a zero,
     which the anneal's own bincount from +0 absorbs.
 
-    A large group is an m x m block that keeps its pair terms across steps
-    and recomputes only the sender rows and receiver columns of the points
-    that moved, then re-sums over its senders in order. A term depends on
-    its two points alone, and a column term is exactly the negated row term
-    (``0 - t`` keeps a zero +0), so the sums have the bits of a full pass.
+    A large group is a (2, m, m) block, ``[:, j, i]`` the push of sender j
+    on receiver i, that keeps its terms across steps, recomputes only the
+    sender rows and receiver columns of the moved points and re-sums over its
+    senders in order. A term depends on its two points alone, and a column
+    term is exactly the negated row term (``0 - t`` keeps a zero +0), so the
+    sums have the bits of a full pass.
     """
 
     def __init__(self, xy, k, small, large):
@@ -285,40 +271,37 @@ class _Repulsion:
             # views in tuples and plain ints: on a summary drawing's block of
             # 50, numpy scalars and unpacking cost a fifth of the full pass
             s = slice(start, start + m)
-            self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2,
-                              tuple(xy[:, s]), tuple(self.sums[:, s]),
-                              (*np.zeros((2, m, m)),
-                               *self.scratch[:2 * m * m].reshape(2, m, m)),
-                              np.arange(m) * (m + 1)))
+            self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2, self.sums[:, s],
+                              np.zeros((2, m, m)), np.arange(m) * (m + 1),
+                              self.scratch[:2 * m * m].reshape(2, m, m)))
 
     def update(self, moved):
         """Bring the sums up to date after the points flagged in ``moved``."""
+        xy = self.xy
         if np.count_nonzero(moved[:self.members]):
-            d = self.terms
-            work = self.scratch[:d.size].reshape(d.shape)
+            d, work = self.terms, self.scratch[:self.terms.size].reshape(2, -1)
             # mode="clip" writes straight into out; "raise" would buffer it
-            self.xy.take(self.recv, axis=1, out=d, mode="clip")
-            self.xy.take(self.send, axis=1, out=work, mode="clip")
+            xy.take(self.recv, axis=1, out=d, mode="clip")
+            xy.take(self.send, axis=1, out=work, mode="clip")
             np.subtract(d, work, out=d)
-            _pair_terms(*d, self.k, (), *work)
+            _pair_terms(d, self.k, (), work)
             for terms, total in zip(d, self.sums[:, :self.members]):
                 total[:] = np.bincount(self.recv, terms, self.members)
-        for s, m, limit, points, sums, work, inf_at in self.lone:
+        for s, m, limit, sums, terms, inf_at, work in self.lone:
             count = np.count_nonzero(moved[s])
             if count > limit:
-                _repulsion(*points, self.k, *sums, work, inf_at)
+                np.subtract(xy[:, None, s], xy[:, s, None], out=terms)
+                _pair_terms(terms, self.k, inf_at, work)
+                terms.sum(axis=1, out=sums)
             elif count:
                 # the moved points' sender rows, in the head of the scratch
                 u = np.flatnonzero(moved[s])
-                rows = self.scratch[:4 * count * m].reshape(4, count, m)
-                np.subtract(self.xy[:, None, s], self.xy[:, s, None][:, u],
-                            out=rows[:2])
-                _pair_terms(*rows[:2], self.k, u + m * np.arange(count),
-                            *rows[2:])
-                for t, row, total in zip(work, rows[:2], sums):
-                    t[u] = row
-                    t[:, u] = np.subtract(0.0, row, out=row).T
-                    t.sum(axis=0, out=total)
+                rows, work = self.scratch[:4 * count * m].reshape(2, 2, count, m)
+                np.subtract(xy[:, None, s], xy[:, s, None][:, u], out=rows)
+                _pair_terms(rows, self.k, u + m * np.arange(count), work)
+                terms[:, u] = rows
+                terms[:, :, u] = np.subtract(0.0, rows, out=rows).swapaxes(1, 2)
+                terms.sum(axis=1, out=sums)
 
 
 def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,

@@ -171,28 +171,30 @@ def reference_anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
 
 
 def count_blocks(monkeypatch):
-    """Record the (m,) shape of every whole lone block ``_anneal`` runs."""
+    """Record the (2, m, m) shape of every whole lone block ``_anneal`` runs;
+    a partial pass's rows are at most a quarter of its block, never square."""
     shapes = []
-    kernel = layout._repulsion
+    kernel = layout._pair_terms
 
-    def counting(x, *args):
-        shapes.append(x.shape)
-        return kernel(x, *args)
+    def counting(d, *args):
+        if d.ndim == 3 and d.shape[1] == d.shape[2]:
+            shapes.append(d.shape)
+        return kernel(d, *args)
 
-    monkeypatch.setattr(layout, "_repulsion", counting)
+    monkeypatch.setattr(layout, "_pair_terms", counting)
     return shapes
 
 
 def count_terms(monkeypatch):
     """Record the shape of every batch of pair terms ``_anneal`` computes:
-    (m, m) for a whole lone block, (P, m) for the rows of the P points that
-    moved in one, and (L,) for the L pairs of the small groups' list."""
+    (2, m, m) for a whole lone block, (2, c, m) for the rows of the c points
+    that moved in one, and (2, L) for the L pairs of the small groups' list."""
     shapes = []
     kernel = layout._pair_terms
 
-    def counting(dx, *args):
-        shapes.append(dx.shape)
-        return kernel(dx, *args)
+    def counting(d, *args):
+        shapes.append(d.shape)
+        return kernel(d, *args)
 
     monkeypatch.setattr(layout, "_pair_terms", counting)
     return shapes
@@ -210,6 +212,59 @@ def record_steps(monkeypatch):
 
     monkeypatch.setattr(layout._Repulsion, "update", recording)
     return masks
+
+
+class TestPairTerms:
+    # point 1 sits on point 0, and point 3 at x = -0.0 beside point 2 at
+    # x = +0.0, so their x difference is -0.0
+    XY = np.array([[3.0, 3.0, 0.0, -0.0, 7.5, -2.0],
+                   [1.0, 1.0, 4.0, 2.0, -6.0, 1.0]])
+
+    def batches(self):
+        """The three batches the anneal hands over, with their self pairs:
+        a whole block, the rows of the moved points 1 and 3, and a list of
+        ordered pairs of distinct points."""
+        xy, m = self.XY, self.XY.shape[1]
+        moved = np.array([1, 3])
+        recv = np.array([0, 1, 3, 2, 5, 4])
+        send = np.array([1, 0, 2, 3, 4, 0])
+        return [(xy[:, None, :] - xy[:, :, None], np.arange(m) * (m + 1)),
+                (xy[:, None, :] - xy[:, moved, None], moved + m * np.arange(2)),
+                (xy[:, recv] - xy[:, send], [])]
+
+    @pytest.mark.parametrize("batch", range(3))
+    def test_matches_the_plain_formula_bit_for_bit(self, batch):
+        d, inf_at = self.batches()[batch]
+        k = 2.5
+        dx, dy = d
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-9)
+        dist.flat[inf_at] = np.inf
+        expect = [dx * (k * k / (dist * dist)), dy * (k * k / (dist * dist))]
+        terms = d.copy()
+        layout._pair_terms(terms, k, inf_at, np.empty_like(d))
+        assert terms.tobytes() == np.array(expect).tobytes()
+
+    def test_self_coincident_and_negative_zero_terms(self):
+        (block, inf_at), _, (listed, _) = self.batches()
+        terms = block.copy()
+        layout._pair_terms(terms, 2.5, inf_at, np.empty_like(terms))
+        # a listed self pair and the coincident pair give +0 terms
+        for t in (terms[:, 2, 2], terms[:, 0, 1], terms[:, 1, 0]):
+            assert t.tolist() == [0.0, 0.0] and not np.signbit(t).any()
+        # -0.0 differences keep their sign; the reverse pair's is +0
+        assert block[0, 2, 3] == 0.0 and np.signbit(block[0, 2, 3])
+        assert np.signbit(terms[0, 2, 3]) and not np.signbit(terms[0, 3, 2])
+        # listed self pairs give +0 also where k^2 / eps^2 overflows
+        terms = block[:, 2:, 2:].copy()
+        layout._pair_terms(terms, 1e146, np.arange(4) * 5, np.empty_like(terms))
+        assert np.isfinite(terms).all()
+        assert not np.diagonal(terms, axis1=1, axis2=2).any()
+        assert not np.signbit(np.diagonal(terms, axis1=1, axis2=2)).any()
+        terms = listed.copy()
+        layout._pair_terms(terms, 2.5, [], np.empty_like(terms))
+        assert np.isfinite(terms).all()
+        assert terms[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert np.signbit(terms[0, 2]) and not np.signbit(terms[0, 3])
 
 
 class TestAnneal:
@@ -254,7 +309,7 @@ class TestAnneal:
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
         # a lone group within the bound lists its n (n - 1) pairs, no block
         assert n <= layout._PAIR_LIST_MAX
-        assert blocks == [] and set(shapes) == {(n * (n - 1),)}
+        assert blocks == [] and set(shapes) == {(2, n * (n - 1))}
 
     def test_matches_reference_across_the_shared_block_max(self, monkeypatch):
         # groups on both sides of the pair list's bound; a coincident pair
@@ -282,9 +337,9 @@ class TestAnneal:
         terms = count_terms(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
         # m + 1 and 70 alone on their slices; 2, 9 and m in one pair list
-        assert set(shapes) == {(m + 1,), (70,)}
-        listed = [s for s in terms if len(s) == 1]
-        assert listed and set(listed) == {(2 * 1 + 9 * 8 + m * (m - 1),)}
+        assert set(shapes) == {(2, m + 1, m + 1), (2, 70, 70)}
+        listed = [s for s in terms if len(s) == 2]
+        assert listed and set(listed) == {(2, 2 * 1 + 9 * 8 + m * (m - 1))}
 
     def test_stops_at_the_first_step_that_moves_nothing(self, monkeypatch):
         # the pair is pushed into opposite corners of its box and stays there
@@ -344,9 +399,9 @@ class TestAnneal:
         steps = record_steps(monkeypatch)
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
         lone = [m for m in sizes if m > layout._PAIR_LIST_MAX]
-        assert [s for s in shapes if len(s) == 2] == \
-            [(m, m) for m in lone] + [(1, m) for m in lone] * (len(steps) - 1)
-        computed = sum(np.prod(s) for s in shapes if len(s) == 2)
+        assert [s for s in shapes if len(s) == 3] == [(2, m, m) for m in lone] \
+            + [(2, 1, m) for m in lone] * (len(steps) - 1)
+        computed = sum(np.prod(s[1:]) for s in shapes if len(s) == 3)
         assert computed <= 0.2 * len(steps) * sum(m * m for m in lone)
 
     def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
@@ -363,7 +418,7 @@ class TestAnneal:
         np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
         assert len(steps) == kw["iterations"]
         assert all(mask.all() for mask in steps)
-        assert shapes == [(n, n)] * kw["iterations"]
+        assert shapes == [(2, n, n)] * kw["iterations"]
 
     def test_small_summary_runs_on_the_pair_list(self, monkeypatch):
         # a summary of 12 clusters repels through its 12 * 11 listed pairs,
@@ -375,7 +430,7 @@ class TestAnneal:
         steps = record_steps(monkeypatch)
         force_directed_layout(sg, 40, Rect(0.0, 0.0, 300.0, 200.0), seed=3)
         assert blocks == []
-        assert shapes == [(12 * 11,)] * len(steps)
+        assert shapes == [(2, 12 * 11)] * len(steps)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_moving_point_leaves_its_pinned_double(self, monkeypatch, shared):
@@ -401,9 +456,9 @@ class TestAnneal:
         np.testing.assert_array_equal(out, reference_anneal(**kw))
         assert not np.array_equal(out[0], out[1])
         # a lone group recomputes the moved point's row and column only
-        assert ((1, size) in shapes) == (not shared)
+        assert ((2, 1, size) in shapes) == (not shared)
         # the small groups recompute their 8 * 7 + 3 * 2 listed pairs
-        assert ((62,) in shapes) == shared
+        assert ((2, 62) in shapes) == shared
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_group_moves_again_after_standing_still(self, monkeypatch, shared):
