@@ -183,11 +183,18 @@ def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
         raise
 
 
+def _finite_number(literal: str) -> float:
+    value = float(literal)  # NaN, Infinity and -Infinity come here too
+    if not math.isfinite(value):
+        raise ParseError(f"{literal} is not a finite JSON number")
+    return value
+
+
 def read_document(path) -> dict:
-    """Read a JSON document file, mapping malformed content to ParseError."""
+    """Read a strict JSON document file, mapping malformed content to ParseError."""
     text = read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
     if not isinstance(doc, dict):

@@ -10,6 +10,7 @@ import numpy as np
 
 from .graph import ClusterSummaryGraph, WeightedGraph
 from .layout import LayoutScene
+from .som import UMatrix
 
 __all__ = ["render_svg", "export_dot"]
 
@@ -40,11 +41,7 @@ def _shade(value: float, vmax: float) -> str:
 
 
 def _raster_rects(raster: np.ndarray, frame) -> list[str]:
-    grid = np.asarray(raster, dtype=np.float64)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ValueError("u-matrix raster must be a nonempty 2-D array")
-    if not np.isfinite(grid).all() or (grid < 0).any():
-        raise ValueError("u-matrix raster must be finite and nonnegative")
+    grid = UMatrix(raster).values
     rows, cols = grid.shape
     pw = frame.width / cols
     ph = frame.height / rows
@@ -131,13 +128,6 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _scene_node_attrs(scene: LayoutScene, i: int) -> list[str]:
-    x, y = scene.positions[i]
-    # pos in drawing units, width in the 72-per-unit convention viewers expect
-    return [f'pos="{_fmt(x)},{_fmt(y)}!"',
-            f"width={_fmt(2.0 * scene.radii[i] / 72.0)}"]
-
-
 def export_dot(obj, scene: LayoutScene | None = None) -> bytes:
     """Serialize a summary graph or a weighted graph as DOT text.
 
@@ -145,34 +135,31 @@ def export_dot(obj, scene: LayoutScene | None = None) -> bytes:
     given, node statements carry pinned positions and widths taken from it,
     so external tools can reproduce the layout.
     """
-    lines = []
     if isinstance(obj, ClusterSummaryGraph):
-        if scene is not None and scene.num_items != obj.num_clusters:
-            raise ValueError("scene does not match the summary graph")
-        lines.append("graph clusters {")
-        lines.append("  node [shape=circle];")
-        for c, (size, intra) in enumerate(zip(obj.sizes.tolist(), obj.intra.tolist())):
-            attrs = [f"vertices={size}", f"intra={_fmt(intra)}"]
-            if scene is not None:
-                attrs.extend(_scene_node_attrs(scene, c))
-            lines.append(f"  {c} [{', '.join(attrs)}];")
-        for (a, b), w in zip(obj.edges.tolist(), obj.weights.tolist()):
-            lines.append(f"  {a} -- {b} [weight={_fmt(w)}];")
+        head = ["graph clusters {", "  node [shape=circle];"]
+        names = [str(c) for c in range(obj.num_clusters)]
+        attrs = [[f"vertices={size}", f"intra={_fmt(intra)}"]
+                 for size, intra in zip(obj.sizes.tolist(), obj.intra.tolist())]
+        ends, weights = obj.edges.tolist(), obj.weights.tolist()
     elif isinstance(obj, WeightedGraph):
-        if scene is not None and scene.num_items != obj.num_vertices:
-            raise ValueError("scene does not match the graph")
-        lines.append("graph vertices {")
-        for i, label in enumerate(obj.labels):
-            attrs = []
-            if scene is not None:
-                attrs.extend(_scene_node_attrs(scene, i))
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f"  {_quote(label)}{suffix};")
-        for i, j, w in obj.edges():
-            lines.append(f"  {_quote(obj.labels[i])} -- {_quote(obj.labels[j])} "
-                         f"[weight={_fmt(w)}];")
+        head = ["graph vertices {"]
+        names = [_quote(label) for label in obj.labels]
+        attrs = [[] for _ in names]
+        i, j, w = obj.edge_arrays
+        ends, weights = zip(i.tolist(), j.tolist()), w.tolist()
     else:
         raise TypeError(
             f"expected ClusterSummaryGraph or WeightedGraph, got {type(obj).__name__}")
+    if scene is not None:
+        if scene.num_items != len(names):
+            raise ValueError(f"scene does not match the graph: {scene.num_items} "
+                             f"items, {len(names)} nodes")
+        # pos in drawing units, width in the 72-per-unit convention viewers expect
+        for node, (x, y), r in zip(attrs, scene.positions.tolist(), scene.radii.tolist()):
+            node += [f'pos="{_fmt(x)},{_fmt(y)}!"', f"width={_fmt(2.0 * r / 72.0)}"]
+    lines = head + [f"  {name} [{', '.join(node)}];" if node else f"  {name};"
+                    for name, node in zip(names, attrs)]
+    lines += [f"  {names[a]} -- {names[b]} [weight={_fmt(w)}];"
+              for (a, b), w in zip(ends, weights)]
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -273,8 +273,8 @@ class UMatrix:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {v.shape}")
+        if v.ndim != 2 or v.size == 0:
+            raise ValueError(f"values must be a nonempty 2-D array, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("u-matrix values must be finite")
         if (v < 0).any():
@@ -290,8 +290,6 @@ class UMatrix:
         """
         if factor < 1:
             raise ValueError(f"factor must be >= 1, got {factor}")
-        if factor == 1:
-            return self.values.copy()
         out = self.values
         for axis, size in enumerate(out.shape):
             coords = (np.arange(size * factor) + 0.5) / factor - 0.5

@@ -297,7 +297,7 @@ def _radius_start_dwarfs_end(tmp_path):
 def _method_not_a_string(tmp_path):
     graph = clique_file(tmp_path / "g.tsv")
     doc = _write(tmp_path / "d.json", json.dumps(
-        {"schema": "graphsom/partition", "method": float("nan"),
+        {"schema": "graphsom/partition", "method": 7,
          "assignment": {f"n{i}": i // 4 for i in range(8)}}))
     return ["stats", "--input", graph, "--partition", doc]
 
@@ -353,6 +353,25 @@ def _document_grid_above_limit(tmp_path):
             "--svg", str(tmp_path / "x.svg"), "--seed", "0"]
 
 
+def _kernel_som_document(tmp_path, trace):
+    """stats on a kernel-som document whose energy trace is the literal ``trace``."""
+    graph = clique_file(tmp_path / "g.tsv")
+    assert main(_cluster_on(graph, tmp_path, "--method", "kernel-som",
+                            "--grid", "1x2")) == 0
+    doc = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+    doc["model"]["energy_trace"] = "TRACE"
+    text = json.dumps(doc).replace('"TRACE"', trace)
+    return ["stats", "--input", graph, "--partition", _write(tmp_path / "p.json", text)]
+
+
+def _nan_in_a_document(tmp_path):
+    return _kernel_som_document(tmp_path, "[NaN]")
+
+
+def _number_overflows_in_a_document(tmp_path):
+    return _kernel_som_document(tmp_path, "[1e400]")
+
+
 # each input stops where it enters: the exit code of its error type, a
 # message naming the bad value or key, no traceback or numpy warning
 BOUNDARY_CASES = [
@@ -372,7 +391,7 @@ BOUNDARY_CASES = [
     ("radius start dwarfs its end", _radius_start_dwarfs_end, 2,
      "got (1e+308, 1.0)"),
     ("method not a string", _method_not_a_string, 3,
-     "method must be a string, got nan"),
+     "method must be a string, got 7"),
     ("attribute sum overflows", _attribute_sum_overflows, 3,
      "numeric key 'score'"),
     ("summary of a skipped cluster id", _summary_of_a_skipped_cluster_id, 2,
@@ -386,6 +405,9 @@ BOUNDARY_CASES = [
      "grid 3x3 has 9 units, above the limit of 8"),
     ("document grid above the unit limit", _document_grid_above_limit, 3,
      "grid 3x3 has 9 units, above the limit of 8"),
+    ("NaN in a document", _nan_in_a_document, 3, "NaN is not a finite JSON number"),
+    ("number overflows in a document", _number_overflows_in_a_document, 3,
+     "1e400 is not a finite JSON number"),
 ]
 
 

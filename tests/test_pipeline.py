@@ -227,6 +227,14 @@ class TestPartitionDocuments:
         with pytest.raises(ParseError, match="invalid JSON"):
             load_partition_document(bad)
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "-1e400"])
+    def test_non_finite_number(self, tmp_path, literal):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema": "graphsom/partition", "assignment": {"a": 0}, '
+                       f'"params": {{"beta": {literal}}}}}')
+        with pytest.raises(ParseError, match=f"^{literal} is not a finite JSON number"):
+            load_partition_document(bad)
+
     def test_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "graphsom/report", "assignment": {"a": 0}}')

@@ -207,6 +207,80 @@ class TestRenderSvg:
         assert first == second
 
 
+def dot_fixture():
+    """Weighted graph with labels that need escaping and an isolated vertex,
+    and its summary under three clusters (the last one isolated)."""
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = 1.5
+    w[0, 2] = w[2, 0] = 0.25
+    w[1, 2] = w[2, 1] = 2.0
+    g = WeightedGraph(('say "hi"', "back\\slash", "plain", "lonely"), w)
+    return g, summary_graph(g, Partition(np.array([0, 0, 1, 2]), 3))
+
+
+def dot_scene(n):
+    return LayoutScene(
+        positions=[[10.0 + 20.0 * i, 12.5 + 5.0 * i] for i in range(n)],
+        radii=[3.0 + i for i in range(n)],
+        edges=np.empty((0, 2), dtype=np.int64),
+        edge_widths=[],
+        frame=Rect(0.0, 0.0, 100.0, 50.0),
+        item_labels=[str(i) for i in range(n)],
+        item_groups=list(range(n)),
+        group_sizes=[1] * n,
+    )
+
+
+class TestDotBytes:
+    def test_summary_graph(self):
+        _, sg = dot_fixture()
+        assert export_dot(sg) == (
+            b"graph clusters {\n"
+            b"  node [shape=circle];\n"
+            b"  0 [vertices=2, intra=1.5000];\n"
+            b"  1 [vertices=1, intra=0.0000];\n"
+            b"  2 [vertices=1, intra=0.0000];\n"
+            b"  0 -- 1 [weight=2.2500];\n"
+            b"}\n")
+
+    def test_summary_graph_with_scene(self):
+        _, sg = dot_fixture()
+        assert export_dot(sg, dot_scene(3)) == (
+            b"graph clusters {\n"
+            b"  node [shape=circle];\n"
+            b'  0 [vertices=2, intra=1.5000, pos="10.0000,12.5000!", width=0.0833];\n'
+            b'  1 [vertices=1, intra=0.0000, pos="30.0000,17.5000!", width=0.1111];\n'
+            b'  2 [vertices=1, intra=0.0000, pos="50.0000,22.5000!", width=0.1389];\n'
+            b"  0 -- 1 [weight=2.2500];\n"
+            b"}\n")
+
+    def test_weighted_graph(self):
+        g, _ = dot_fixture()
+        assert export_dot(g) == (
+            b"graph vertices {\n"
+            b'  "say \\"hi\\"";\n'
+            b'  "back\\\\slash";\n'
+            b'  "plain";\n'
+            b'  "lonely";\n'
+            b'  "say \\"hi\\"" -- "back\\\\slash" [weight=1.5000];\n'
+            b'  "say \\"hi\\"" -- "plain" [weight=0.2500];\n'
+            b'  "back\\\\slash" -- "plain" [weight=2.0000];\n'
+            b"}\n")
+
+    def test_weighted_graph_with_scene(self):
+        g, _ = dot_fixture()
+        assert export_dot(g, dot_scene(4)) == (
+            b"graph vertices {\n"
+            b'  "say \\"hi\\"" [pos="10.0000,12.5000!", width=0.0833];\n'
+            b'  "back\\\\slash" [pos="30.0000,17.5000!", width=0.1111];\n'
+            b'  "plain" [pos="50.0000,22.5000!", width=0.1389];\n'
+            b'  "lonely" [pos="70.0000,27.5000!", width=0.1667];\n'
+            b'  "say \\"hi\\"" -- "back\\\\slash" [weight=1.5000];\n'
+            b'  "say \\"hi\\"" -- "plain" [weight=0.2500];\n'
+            b'  "back\\\\slash" -- "plain" [weight=2.0000];\n'
+            b"}\n")
+
+
 class TestExportDot:
     def summary_fixture(self):
         g = two_cliques(10, bridge=2.0)

@@ -293,6 +293,11 @@ class TestUMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             UMatrix(np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty_values(self, shape):
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            UMatrix(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
