@@ -2,7 +2,9 @@
 
 Every public name lives in one submodule and is imported from it on first
 access (PEP 562), so importing the package, or a submodule such as
-``graphsom.cli``, loads only the modules that code path needs.
+``graphsom.cli``, loads only the modules that code path needs. ``_HOMES``
+below is the one list of public names, so the submodules declare no
+``__all__``.
 """
 
 import importlib

@@ -24,8 +24,6 @@ from .pipeline import (
     run_stats,
 )
 
-__all__ = ["build_parser", "main", "entry_point"]
-
 
 def _grid_arg(text: str) -> tuple[int, int]:
     rows, sep, cols = text.partition("x")

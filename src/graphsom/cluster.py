@@ -18,16 +18,6 @@ from .errors import UsageError
 from .graph import Partition, WeightedGraph, _edge_clusters
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
-__all__ = [
-    "KMeansResult",
-    "PartitionStats",
-    "kmeans",
-    "kernel_kmeans",
-    "spectral_clustering",
-    "q_modularity",
-    "partition_stats",
-]
-
 MAX_LLOYD_ITERATIONS = 300
 # seeded Lloyd runs per clustering; the best one wins
 DEFAULT_RESTARTS = 10

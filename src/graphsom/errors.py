@@ -1,7 +1,5 @@
 """Exception types shared across the package, each with its CLI exit code."""
 
-__all__ = ["ParseError", "NumericalError", "UsageError"]
-
 
 class ParseError(ValueError):
     """An input file (edge list, attribute table, or document) is malformed.

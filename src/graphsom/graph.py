@@ -21,14 +21,6 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 
-__all__ = [
-    "WeightedGraph",
-    "Partition",
-    "ClusterSummaryGraph",
-    "load_edge_list",
-    "summary_graph",
-]
-
 # Largest vertex count load_edge_list accepts. The Laplacian and the kernel
 # are dense n x n float64 arrays of 8 n^2 bytes each, and a cluster command
 # holds about five such arrays at its peak (see README, "Memory"): at this

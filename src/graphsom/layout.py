@@ -16,15 +16,6 @@ from .errors import UsageError
 from .graph import ClusterSummaryGraph, WeightedGraph
 from .som import SomModel, som_partition
 
-__all__ = [
-    "Rect",
-    "LayoutScene",
-    "force_directed_layout",
-    "som_map_scene",
-    "constrained_full_layout",
-    "CELL_SIDE",
-]
-
 # side length of one grid cell in scene units
 CELL_SIDE = 100.0
 

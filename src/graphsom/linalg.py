@@ -16,14 +16,6 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-__all__ = [
-    "EigenDecomposition",
-    "KernelMatrix",
-    "eigendecompose_symmetric",
-    "heat_kernel",
-    "spectral_embedding",
-]
-
 # relative asymmetry accepted before a matrix is rejected as non-symmetric
 _SYMMETRY_RTOL = 1e-12
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from typing import IO, Mapping
 
@@ -25,27 +26,6 @@ from .graph import Partition, WeightedGraph, _tab_rows, load_edge_list, read_tex
 from .linalg import heat_kernel
 from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, batch_kernel_som, \
     default_radius, som_partition, spectral_som
-
-__all__ = [
-    "PARTITION_SCHEMA",
-    "REPORT_SCHEMA",
-    "ATTRIBUTE_SUMMARY_SCHEMA",
-    "SCHEMA_VERSION",
-    "PARTITION_SCHEMA_VERSION",
-    "RunConfig",
-    "AttributeTable",
-    "parse_attribute_table",
-    "attribute_summary",
-    "document_bytes",
-    "read_document",
-    "load_partition_document",
-    "partition_for_graph",
-    "model_from_document",
-    "run_cluster",
-    "run_attribute_summary",
-    "run_layout",
-    "run_stats",
-]
 
 PARTITION_SCHEMA = "graphsom/partition"
 REPORT_SCHEMA = "graphsom/report"
@@ -155,32 +135,50 @@ def _refuse_shared_target(*paths) -> None:
 def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
     """Write every ``(path, data)`` pair of one command, or none of them.
 
-    Each output goes to a fresh temporary file in its target's directory;
-    only when all of them are written are they renamed over their targets,
-    in order. If any write fails, the temporary files are deleted and every
-    target keeps its old bytes.
+    Each output goes to a fresh temporary file in its target's directory, and
+    an existing target is kept under a hard link beside it. Only when all of
+    them are written are they renamed over their targets, in order. If any
+    write or rename fails, or the run is interrupted, each replaced target is
+    put back from its link, or removed if it did not exist; then the
+    temporary files and links are deleted. A target that cannot be linked
+    keeps the new bytes if a later rename fails.
     """
-    staged = []
+    staged, kept, replaced = [], [], 0
     try:
         for i, (path, data) in enumerate(outputs):
-            # the one rename that can still fail once the files are staged
             if os.path.isdir(path):
                 raise IsADirectoryError(f"output {path} is a directory")
             head, tail = os.path.split(os.fspath(path))
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append(tmp)
+            stem = os.path.join(head, f".{tail}.{os.getpid()}-{i}")
+            fd = os.open(stem + ".tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append(stem + ".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+            try:  # None: no old target; "": one that cannot be linked
+                os.link(path, stem + ".old", follow_symlinks=False)
+                kept.append(stem + ".old")
+            except FileNotFoundError:
+                kept.append(None)
+            except OSError:
+                kept.append("")
         for tmp, (path, _) in zip(staged, outputs):
             os.replace(tmp, path)
+            replaced += 1
     except BaseException:
+        for (path, _), old in zip(outputs[:replaced], kept):
+            with suppress(OSError):
+                if old is None:
+                    os.unlink(path)
+                elif old:
+                    os.replace(old, path)
         for tmp in staged:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
         raise
+    finally:
+        for old in filter(None, kept):
+            with suppress(OSError):
+                os.unlink(old)
 
 
 def _finite_number(literal: str) -> float:

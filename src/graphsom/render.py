@@ -12,8 +12,6 @@ from .graph import ClusterSummaryGraph, WeightedGraph
 from .layout import LayoutScene
 from .som import UMatrix
 
-__all__ = ["render_svg", "export_dot"]
-
 # glyph fills, cycled by cluster id
 _PALETTE = (
     "#4878a8", "#e49444", "#d1615d", "#85b6b2", "#6a9f58",

@@ -31,18 +31,6 @@ from .errors import UsageError
 from .graph import Partition, WeightedGraph
 from .linalg import KernelMatrix, _FeatureSpace, spectral_embedding
 
-__all__ = [
-    "SomGrid",
-    "SomModel",
-    "UMatrix",
-    "batch_kernel_som",
-    "batch_som",
-    "spectral_som",
-    "u_matrix",
-    "som_partition",
-    "default_radius",
-]
-
 # update denominators below this leave the gamma row untouched for the epoch
 _DEAD_UNIT_FLOOR = 1e-300
 # training epochs per map; the radius shrinks linearly across them

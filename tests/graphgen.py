@@ -57,6 +57,23 @@ def random_graph(n, density=0.3, rng=None, max_weight=5.0):
     return from_weights(w)
 
 
+def block_model(n=615, blocks=8, degree=13.8, ratio=20.0, rng=615,
+                max_weight=5.0):
+    """Stochastic block model: vertex i is in block ``i * blocks // n``, an
+    in-block pair is an edge ``ratio`` times as often as a cross-block pair,
+    the expected average degree is ``degree``, and weights are uniform in
+    [0.1, max_weight). Returns the graph and each vertex's block."""
+    rng = np.random.default_rng(rng)
+    block = np.arange(n) * blocks // n
+    same = block[:, None] == block[None, :]
+    inside = same.sum() - n  # ordered pairs of distinct vertices
+    cross = n * n - same.sum()
+    p_cross = degree * n / (ratio * inside + cross)
+    edge = np.triu(rng.random((n, n)) < np.where(same, ratio * p_cross, p_cross), 1)
+    w = np.where(edge, rng.uniform(0.1, max_weight, (n, n)), 0.0)
+    return from_weights(w + w.T), block
+
+
 def random_laplacian(n, rng=None, density=0.5, max_weight=2.0):
     rng = np.random.default_rng(rng)
     return random_graph(n, density=density, rng=rng, max_weight=max_weight).laplacian()

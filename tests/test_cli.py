@@ -548,6 +548,73 @@ class TestNoPartialOutputs:
         assert "name the same file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def _fail_rename(self, monkeypatch, at, error=PermissionError):
+        """Make the ``at``-th call of ``os.replace`` raise ``error``."""
+        real, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == at:
+                raise error(f"rename {at} refused")
+            return real(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+
+    def _run_two_outputs(self, tmp_path, triangle, command):
+        """The two outputs of ``command``, and a call that runs it and
+        returns its exit code."""
+        if command == "cluster":
+            targets = [tmp_path / "p.json", tmp_path / "r.json"]
+            return targets, lambda: cluster_spectral(triangle, *targets)
+        targets = [tmp_path / "s.svg", tmp_path / "x.dot"]
+        return targets, lambda: main(
+            ["layout", "--mode", "summary", "--input", triangle,
+             "--partition", str(tmp_path / "doc.json"), "--svg",
+             str(targets[0]), "--dot", str(targets[1]), "--seed", "0"])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("at", [1, 2])
+    @pytest.mark.parametrize("command", ["cluster", "layout"])
+    def test_failed_rename_restores_every_target(self, tmp_path, triangle,
+                                                 monkeypatch, command, at,
+                                                 existing):
+        assert cluster_spectral(triangle, tmp_path / "doc.json") == 0
+        targets, run = self._run_two_outputs(tmp_path, triangle, command)
+        if existing:
+            for path in targets:
+                path.write_bytes(f"old {path.name}\n".encode())
+        before = sorted(os.listdir(tmp_path))
+        self._fail_rename(monkeypatch, at)
+        assert run() == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        for path in targets:
+            assert path.exists() == existing
+            if existing:
+                assert path.read_bytes() == f"old {path.name}\n".encode()
+
+    def test_interrupt_between_renames_restores_targets(self, tmp_path,
+                                                        triangle, monkeypatch):
+        out, report = tmp_path / "p.json", tmp_path / "r.json"
+        out.write_bytes(b"earlier bytes\n")
+        self._fail_rename(monkeypatch, 2, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cluster_spectral(triangle, out, report)
+        assert out.read_bytes() == b"earlier bytes\n"
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
+
+    def test_target_that_cannot_be_linked_keeps_new_bytes(self, tmp_path,
+                                                          triangle,
+                                                          monkeypatch):
+        out, report = tmp_path / "p.json", tmp_path / "r.json"
+        out.write_bytes(b"earlier bytes\n")
+
+        def link(src, dst, **kwargs):
+            raise PermissionError("no hard links here")
+        monkeypatch.setattr(os, "link", link)
+        self._fail_rename(monkeypatch, 2)
+        assert cluster_spectral(triangle, out, report) == 1
+        assert json.loads(out.read_text())["schema"] == "graphsom/partition"
+        assert sorted(os.listdir(tmp_path)) == ["p.json", "tri.tsv"]
+
     def test_success_replaces_existing_output(self, tmp_path, triangle):
         out = tmp_path / "p.json"
         report = tmp_path / "r.json"
@@ -945,6 +1012,26 @@ def test_cli_import_loads_no_drawing_modules():
     assert "graphsom.cli" in loaded and "graphsom.pipeline" in loaded
     assert "graphsom.layout" not in loaded
     assert "graphsom.render" not in loaded
+
+
+def test_package_attribute_loads_only_its_home():
+    """A package attribute imports its home module and that module's
+    imports, nothing more."""
+    script = (
+        "import sys, graphsom\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('graphsom'))\n"
+        "graphsom.load_edge_list\n"
+        "print(loaded())\n"
+        "graphsom.render_svg\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_graph, after_render = proc.stdout.splitlines()
+    assert after_graph == str(["graphsom", "graphsom.errors", "graphsom.graph"])
+    assert "graphsom.render" in after_render
+    assert "graphsom.cluster" not in after_render
+    assert "graphsom.pipeline" not in after_render
 
 
 class TestParserShape:

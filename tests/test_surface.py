@@ -1,17 +1,16 @@
-"""The public surface: every exported name resolves, and every function the
-benchmark tracer wraps still exists under its name."""
+"""The public surface: ``graphsom._HOMES`` declares each exported name once,
+in the module that defines it, and every function the benchmark tracer
+wraps still exists under its name."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
-import pkgutil
 from pathlib import Path
 
 import pytest
 
 import graphsom
-
-SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(graphsom.__path__))
 
 
 def _tracer_layers():
@@ -22,21 +21,35 @@ def _tracer_layers():
     return module.LAYERS
 
 
-@pytest.mark.parametrize("name", SUBMODULES)
+def _top_level_names(module):
+    """The names a module's own top-level statements bind, imports aside."""
+    tree = ast.parse(inspect.getsource(module))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(graphsom._HOMES))
 def test_module_all_resolves(name):
+    """Each name that ``_HOMES`` gives a module is defined by that module's
+    own top-level code, not imported into it."""
     module = importlib.import_module(f"graphsom.{name}")
-    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-    assert missing == []
+    assert sorted(set(graphsom._HOMES[name]) - _top_level_names(module)) == []
 
 
 def test_package_all_is_the_home_objects():
-    modules = [importlib.import_module(f"graphsom.{n}") for n in SUBMODULES]
-    for name in graphsom.__all__:
-        if name == "__version__":
-            continue
-        homes = [m for m in modules if name in getattr(m, "__all__", ())]
-        assert len(homes) == 1, f"{name} is exported by {len(homes)} modules"
-        assert getattr(graphsom, name) is getattr(homes[0], name), name
+    declared = [n for names in graphsom._HOMES.values() for n in names]
+    assert len(declared) == len(set(declared)), "a name with two homes"
+    assert sorted(graphsom.__all__) == sorted([*declared, "__version__"])
+    for home, names in graphsom._HOMES.items():
+        module = importlib.import_module(f"graphsom.{home}")
+        for name in names:
+            assert getattr(graphsom, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("layer, names", sorted(_tracer_layers().items()))
