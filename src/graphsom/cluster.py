@@ -125,12 +125,16 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
     return assign, np.array(trace)
 
 
-def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
-    """Minimum-energy restart; earlier restarts win ties."""
-    if not 1 <= k <= space.n:
-        raise UsageError(f"k must be in 1..{space.n}, got {k}")
+def _check_kmeans(k: int, n: int, restarts: int) -> None:
+    if not 1 <= k <= n:
+        raise UsageError(f"k must be in 1..{n}, got {k}")
     if restarts < 1:
         raise UsageError(f"restarts must be >= 1, got {restarts}")
+
+
+def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
+    """Minimum-energy restart; earlier restarts win ties."""
+    _check_kmeans(k, space.n, restarts)
     best = None
     for rng in _spawned_rngs(seed, restarts):
         run = _lloyd(space, k, rng)
@@ -172,9 +176,8 @@ def kernel_kmeans(kernel, k: int, seed: int,
 def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
                         restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """k-means on the rows of the p lowest-eigenvalue Laplacian eigenvectors."""
-    # checked before the eigensolve, which would first reject a p defaulted to k
-    if not 1 <= k <= g.num_vertices:
-        raise UsageError(f"k must be in 1..{g.num_vertices}, got {k}")
+    # k first, so a p defaulted to k does not take the blame for it
+    _check_kmeans(k, g.num_vertices, restarts)
     coords = spectral_embedding(g.laplacian(), p)
     return kmeans(coords, k, seed, restarts)
 

@@ -59,10 +59,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return int(self.eigenvalues.size)
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # argmax returns the first occurrence, which is the tie rule we want; it
@@ -236,8 +232,7 @@ def spectral_embedding(laplacian, p: int) -> np.ndarray:
     Row i is vertex i's coordinate vector. All p eigenvectors enter with equal
     weight.
     """
-    decomp = eigendecompose_symmetric(laplacian)
-    n = decomp.order
+    n = len(laplacian)
     if not 1 <= p <= n:
         raise UsageError(f"p must be in 1..{n}, got {p}")
-    return decomp.eigenvectors[:, :p].copy()
+    return eigendecompose_symmetric(laplacian).eigenvectors[:, :p].copy()

@@ -18,14 +18,14 @@ from typing import IO, Mapping
 import numpy as np
 
 from . import graph
-from .cluster import DEFAULT_RESTARTS, kernel_kmeans, partition_stats, q_modularity, \
-    spectral_clustering
+from .cluster import DEFAULT_RESTARTS, _check_kmeans, kernel_kmeans, partition_stats, \
+    q_modularity, spectral_clustering
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, _tab_rows, load_edge_list, read_text, \
     summary_graph
 from .linalg import heat_kernel
-from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, batch_kernel_som, \
-    default_radius, som_partition, spectral_som
+from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, _check_schedule, \
+    batch_kernel_som, default_radius, som_partition, spectral_som
 
 PARTITION_SCHEMA = "graphsom/partition"
 REPORT_SCHEMA = "graphsom/report"
@@ -350,8 +350,12 @@ def run_cluster(config: RunConfig) -> dict:
     cfg = config.resolved()
     g = load_edge_list(config.input)
     method, seed = config.method, config.seed
+    # range checks that would otherwise wait for the heat kernel's eigensolve
     if cfg["grid"] is not None:
         grid = SomGrid(**cfg["grid"])
+        _check_schedule(grid, cfg["epochs"], cfg["radius"])
+    else:
+        _check_kmeans(cfg["k"], g.num_vertices, cfg["restarts"])
     # the kernel methods are the ones that take a beta
     if cfg["beta"] is not None:
         kern = heat_kernel(g.laplacian(), cfg["beta"])
@@ -403,10 +407,9 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
     categorical: set[str] = set()
     records: dict[str, dict[str, float | str]] = {}
     saw_schema = False
-    saw_data = False
     for lineno, parts in _tab_rows(source):
         if parts[0] == "!schema":
-            if saw_schema or saw_data:
+            if saw_schema or records:
                 raise ParseError("!schema must be the first content line",
                                  lineno)
             saw_schema = True
@@ -432,7 +435,6 @@ def parse_attribute_table(source: str | os.PathLike | IO) -> AttributeTable:
         if not vertex.strip() or not key.strip():
             raise ParseError("vertex and key must be nonempty", lineno)
         vertex, key = vertex.strip(), key.strip()
-        saw_data = True
         if key in numeric:
             try:
                 value: float | str = float(raw)
@@ -471,45 +473,35 @@ def attribute_summary(partition_doc: dict, table: AttributeTable) -> dict:
         raise UsageError(
             f"attribute table mentions vertex {unknown[0]!r} not in the partition")
     k = partition_doc["num_clusters"]
-    members: list[list[str]] = [[] for _ in range(k)]
+    members: list[list[Mapping]] = [[] for _ in range(k)]
     for label, cluster in assignment.items():
-        members[cluster].append(label)
+        members[cluster].append(table.records.get(label, {}))
 
     clusters = []
-    for c in range(k):
-        labels = members[c]
-        size = len(labels)
-        numeric = {}
-        for key in table.numeric_keys:
-            vals = [table.records[lb][key] for lb in labels
-                    if key in table.records.get(lb, ())]
+    for c, records in enumerate(members):
+        numeric, categorical = {}, {}
+        for key in (*table.numeric_keys, *table.categorical_keys):
+            vals = [rec[key] for rec in records if key in rec]
             entry: dict[str, object] = {"count": len(vals),
-                                        "missing": size - len(vals)}
+                                        "missing": len(records) - len(vals)}
+            if key in table.categorical_keys:
+                counts = sorted(Counter(vals).items(),
+                                key=lambda kv: (-kv[1], kv[0]))
+                entry["distribution"] = [
+                    {"value": value, "count": count,
+                     "fraction": count / len(vals)} for value, count in counts]
+                categorical[key] = entry
+                continue
+            mean = std = None
             if vals:
                 arr = np.array(vals, dtype=np.float64)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    entry["mean"] = float(arr.mean())
-                    entry["std"] = float(arr.std())
-                if not all(map(math.isfinite, (entry["mean"], entry["std"]))):
+                    mean, std = float(arr.mean()), float(arr.std())
+                if not (math.isfinite(mean) and math.isfinite(std)):
                     raise ParseError(f"numeric key {key!r} has values too "
                                      f"large to summarize in cluster {c}")
-            else:
-                entry["mean"] = None
-                entry["std"] = None
-            numeric[key] = entry
-        categorical = {}
-        for key in table.categorical_keys:
-            vals = [table.records[lb][key] for lb in labels
-                    if key in table.records.get(lb, ())]
-            counts = Counter(vals)
-            present = len(vals)
-            dist = [{"value": value, "count": count,
-                     "fraction": count / present}
-                    for value, count in sorted(counts.items(),
-                                               key=lambda kv: (-kv[1], kv[0]))]
-            categorical[key] = {"count": present, "missing": size - present,
-                                "distribution": dist}
-        clusters.append({"cluster": c, "size": size,
+            numeric[key] = {**entry, "mean": mean, "std": std}
+        clusters.append({"cluster": c, "size": len(records),
                          "numeric": numeric, "categorical": categorical})
     return {"schema": ATTRIBUTE_SUMMARY_SCHEMA,
             "schema_version": SCHEMA_VERSION,

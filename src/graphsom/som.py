@@ -154,7 +154,12 @@ def default_radius(grid: SomGrid) -> tuple[float, float]:
     return (max(grid.rows, grid.cols) / 2.0, 0.5)
 
 
-def _check_radius(radius) -> tuple[float, float]:
+def _check_schedule(grid: SomGrid, epochs: int, radius) -> tuple[float, float]:
+    """The radius schedule's endpoints, once epochs and radius are in range."""
+    if epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
+    if radius is None:
+        radius = default_radius(grid)
     start, end = float(radius[0]), float(radius[1])
     last = start + (end - start)  # the schedule's smallest sigma, maybe 0
     if not (np.isfinite(start) and start >= end > 0 and 2.0 * last * last > 0):
@@ -194,11 +199,7 @@ def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
 def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
            seed: int) -> SomModel:
     """Shared batch-SOM loop over either view of the vertices."""
-    if epochs < 1:
-        raise UsageError(f"epochs must be >= 1, got {epochs}")
-    if radius is None:
-        radius = default_radius(grid)
-    start, end = _check_radius(radius)
+    start, end = _check_schedule(grid, epochs, radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gamma = _initial_gamma(rng, grid.num_units, space.n)
 
@@ -249,6 +250,7 @@ def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
                  radius: tuple[float, float] | None = None,
                  seed: int = 0) -> SomModel:
     """Batch SOM on the spectral embedding of a graph."""
+    _check_schedule(grid, epochs, radius)
     coords = spectral_embedding(g.laplacian(), p)
     return batch_som(coords, grid, epochs, radius, seed)
 

@@ -13,7 +13,7 @@ from graphsom.cli import build_parser, main
 from graphsom.errors import NumericalError
 from graphsom.graph import load_edge_list
 from graphsom.layout import CELL_SIDE
-from graphsom.linalg import heat_kernel
+from graphsom.linalg import eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import _METHOD_KNOBS, LAYOUT_ITERATIONS, document_bytes
 from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import random_graph
@@ -156,6 +156,21 @@ class TestExitCodes:
                      "--seed", "0", "--out", str(tmp_path / "p.json")])
         assert code == 4
 
+    def test_eigensolver_failure_is_numerical(self, tmp_path, graph_file,
+                                              monkeypatch, capsys):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            eigendecompose_symmetric(np.eye(3))
+        code = main(["cluster", "--input", graph_file,
+                     "--method", "kernel-kmeans", "--k", "2",
+                     "--seed", "0", "--out", str(tmp_path / "p.json")])
+        assert code == 4
+        assert "failed to converge" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
     def test_graph_above_vertex_limit(self, tmp_path, graph_file, capsys,
                                       monkeypatch):
         monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 7)
@@ -191,18 +206,35 @@ BAD_KNOBS = [
     ("spectral-som", ["--grid", "2x2", "--radius", "nan,0.5"]),
     ("spectral", ["--k", "2", "--restarts", "0"]),
 ]
+# the same knobs where kernel-kmeans and spectral-som receive them
+MORE_BAD_KNOBS = [
+    ("kernel-kmeans", ["--k", "0"]),
+    ("kernel-kmeans", ["--k", "9"]),
+    ("kernel-kmeans", ["--k", "2", "--restarts", "0"]),
+    ("spectral-som", ["--grid", "2x2", "--p", "0"]),
+]
 
 
 class TestOutOfRangeValues:
-    @pytest.mark.parametrize("method, knobs", BAD_KNOBS,
-                             ids=[" ".join(k) for _, k in BAD_KNOBS])
+    @pytest.mark.parametrize(
+        "method, knobs", BAD_KNOBS + MORE_BAD_KNOBS,
+        ids=[" ".join(k) for _, k in BAD_KNOBS]
+        + [f"{m} {' '.join(k)}" for m, k in MORE_BAD_KNOBS])
     def test_cluster_exits_2_without_output(self, tmp_path, graph_file,
-                                            capsys, method, knobs):
+                                            capsys, monkeypatch, method, knobs):
+        # every knob is checked before the eigensolve, which fails here
+        def no_eigensolve(m):
+            raise NumericalError("the eigensolve ran")
+
+        monkeypatch.setattr("graphsom.linalg.eigendecompose_symmetric",
+                            no_eigensolve)
         code = main(["cluster", "--input", graph_file, "--method", method,
                      *knobs, "--seed", "0", "--out", str(tmp_path / "p.json"),
                      "--report", str(tmp_path / "r.json")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("graphsom: ")
+        # the message names the knob given last, the one out of range
+        name = knobs[-2].lstrip("-")
+        assert capsys.readouterr().err.startswith(f"graphsom: {name} must be")
         assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
 
     @pytest.mark.parametrize("knobs, name", [
@@ -302,13 +334,31 @@ def _method_not_a_string(tmp_path):
     return ["stats", "--input", graph, "--partition", doc]
 
 
-def _attribute_sum_overflows(tmp_path):
+def _attrs_of(tmp_path, table_text):
     doc = _write(tmp_path / "d.json", json.dumps(
         {"schema": "graphsom/partition", "assignment": {"a": 0, "b": 0}}))
-    table = _write(tmp_path / "t.tsv", "!schema\tscore:numeric\n"
-                   "a\tscore\t1e308\nb\tscore\t1e308\n")
+    table = _write(tmp_path / "t.tsv", table_text)
     return ["attrs", "--partition", doc, "--attributes", table,
             "--out", str(tmp_path / "s.json")]
+
+
+def _attribute_sum_overflows(tmp_path):
+    return _attrs_of(tmp_path, "!schema\tscore:numeric\n"
+                     "a\tscore\t1e308\nb\tscore\t1e308\n")
+
+
+def _attribute_without_key(tmp_path):
+    return _attrs_of(tmp_path, "a\t \tred\n")
+
+
+def _seed_not_an_integer(tmp_path):
+    return [*_seed_layout(tmp_path)[:-1], "x"]
+
+
+def _radius_without_comma(tmp_path):
+    return _cluster_on(clique_file(tmp_path / "g.tsv"), tmp_path,
+                       "--method", "kernel-som", "--grid", "2x2",
+                       "--radius", "3.5")
 
 
 def _summary_of_a_skipped_cluster_id(tmp_path):
@@ -377,6 +427,10 @@ def _number_overflows_in_a_document(tmp_path):
 BOUNDARY_CASES = [
     ("cluster seed -1", _seed_cluster, 2, "argument --seed: must be >= 0"),
     ("layout seed -1", _seed_layout, 2, "argument --seed: must be >= 0"),
+    ("seed not an integer", _seed_not_an_integer, 2,
+     "argument --seed: invalid int value: 'x'"),
+    ("radius without a comma", _radius_without_comma, 2,
+     "expected START,END like 3.5,0.5, got '3.5'"),
     ("summed weights overflow", _summed_weights_overflow, 3,
      "edge weights too large"),
     ("pair listed twice overflows", _pair_twice_overflows, 3,
@@ -394,6 +448,10 @@ BOUNDARY_CASES = [
      "method must be a string, got 7"),
     ("attribute sum overflows", _attribute_sum_overflows, 3,
      "numeric key 'score'"),
+    ("attribute line without a key", _attribute_without_key, 3,
+     "vertex and key must be nonempty"),
+    ("document root not an object", lambda tmp_path: _stats_of(tmp_path, []), 3,
+     "document root must be a JSON object"),
     ("summary of a skipped cluster id", _summary_of_a_skipped_cluster_id, 2,
      "cluster 1 has no vertices"),
     ("cluster id overflows int64", _cluster_id_overflows, 3,

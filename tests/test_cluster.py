@@ -85,6 +85,21 @@ class TestKMeans:
             res = kmeans(pts, k, seed=int(rng.integers(1 << 30)))
             assert (res.partition.sizes() >= 1).all()
 
+    @pytest.mark.parametrize("points, seed, sizes", [
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], 0, [2, 1, 1]),
+        (np.zeros((5, 2)), 1, [3, 1, 1]),
+    ], ids=["two distinct points", "one distinct point"])
+    def test_fewer_distinct_points_than_clusters(self, points, seed, sizes):
+        # seeding runs out of positive distances and draws uniformly, and
+        # the repair hands each empty cluster a duplicate point
+        pts = np.asarray(points)
+        res = kmeans(pts, 3, seed=seed)
+        assert res.partition.sizes().tolist() == sizes
+        assert res.within_energy == 0.0
+        via_gram = kernel_kmeans(pts @ pts.T, 3, seed=seed)
+        np.testing.assert_array_equal(via_gram.partition.assignment,
+                                      res.partition.assignment)
+
     def test_energy_trace_non_increasing(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

@@ -5,11 +5,11 @@ library callers can reach stay plain ValueError."""
 import numpy as np
 import pytest
 
-from graphsom.cluster import kmeans, spectral_clustering
+from graphsom.cluster import kmeans, partition_stats, spectral_clustering
 from graphsom.errors import NumericalError, ParseError, UsageError
-from graphsom.graph import Partition, summary_graph
+from graphsom.graph import Partition, WeightedGraph, summary_graph
 from graphsom.layout import Rect, constrained_full_layout, force_directed_layout
-from graphsom.linalg import heat_kernel, spectral_embedding
+from graphsom.linalg import eigendecompose_symmetric, heat_kernel, spectral_embedding
 from graphsom.som import SomGrid, SomModel, UMatrix, batch_som
 from graphgen import two_cliques
 
@@ -82,12 +82,35 @@ def test_grid_above_the_unit_limit(monkeypatch):
         SomGrid(1, 7)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: UMatrix(np.zeros((2, 2))).upsampled(0),
-    lambda: spectral_embedding(np.zeros((2, 3)), 1),
-], ids=["UMatrix.upsampled", "non-square laplacian"])
-def test_library_only_checks_stay_value_error(call):
-    with pytest.raises(ValueError) as info:
+# (id, part of the message, call)
+LIBRARY_CHECKS = [
+    ("UMatrix.upsampled", "factor", lambda: UMatrix(np.zeros((2, 2))).upsampled(0)),
+    ("non-square laplacian", "square",
+     lambda: spectral_embedding(np.zeros((2, 3)), 1)),
+    ("empty matrix", "order >= 1",
+     lambda: eigendecompose_symmetric(np.zeros((0, 0)))),
+    ("weights of another size", "does not match 2 labels",
+     lambda: WeightedGraph(("a", "b"), np.zeros((3, 3)))),
+    ("2-D partition", "1-D", lambda: Partition([[0, 1]], 2)),
+    ("partition of no clusters", "k must be at least 1",
+     lambda: Partition([0], 0)),
+    ("stats of another size", "partition covers 2 vertices",
+     lambda: partition_stats(GRAPH, Partition([0, 1], 2))),
+    ("gamma rows", "gamma must have 2 rows",
+     lambda: SomModel(GRID, np.full((3, 6), 1 / 6), HALVES, [0.0])),
+    ("negative gamma", "nonnegative",
+     lambda: SomModel(GRID, [[-1.0, 2.0], [0.5, 0.5]], [0, 1], [0.0])),
+    ("gamma row sums", "sum to 1",
+     lambda: SomModel(GRID, [[0.5, 0.4], [0.5, 0.5]], [0, 1], [0.0])),
+    ("assignment per gamma column", "one unit per gamma column",
+     lambda: SomModel(GRID, np.eye(2), [0, 1, 1], [0.0])),
+]
+
+
+@pytest.mark.parametrize("message, call", [case[1:] for case in LIBRARY_CHECKS],
+                         ids=[case[0] for case in LIBRARY_CHECKS])
+def test_library_only_checks_stay_value_error(message, call):
+    with pytest.raises(ValueError, match=message) as info:
         call()
     assert type(info.value) is ValueError
 

@@ -103,6 +103,23 @@ class TestLayoutScene:
         with pytest.raises(ValueError, match="positive"):
             LayoutScene(**self.scene_kwargs(group_sizes=[3, 0]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"positions": [[1.0, 1.0, 1.0]]}, "nonempty"),
+        ({"positions": [[np.nan, 1.0], [7.0, 4.0]]}, "positions must be finite"),
+        ({"radii": [1.0]}, "one entry per item"),
+        ({"edge_widths": [0.0]}, "positive and finite"),
+        ({"frame": Rect(0.0, 0.0, 0.0, 10.0)}, "positive area"),
+        ({"item_labels": ("a",)}, "item_labels"),
+        ({"item_groups": [0]}, "item_groups"),
+        ({"cell_regions": (Rect(0, 0, 10, 10),), "cell_of_item": [0]},
+         "cell_of_item"),
+        ({"cell_regions": (Rect(0, 0, 10, 10),), "cell_of_item": [0, 1]},
+         "cell index out of range"),
+    ])
+    def test_refuses_a_malformed_field(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            LayoutScene(**self.scene_kwargs(**overrides))
+
     def test_cell_pairing(self):
         cells = (Rect(0, 0, 5, 10), Rect(5, 0, 5, 10))
         with pytest.raises(ValueError, match="together"):

@@ -202,6 +202,15 @@ class TestBatchSom:
         steps = np.diff(a)
         assert (steps == 1).all() or (steps == -1).all()
 
+    def test_one_epoch_trains_at_the_start_radius(self):
+        # every run's first epoch uses radius[0], so a one-epoch map is
+        # the first epoch of a longer run
+        pts = np.random.default_rng(14).normal(size=(9, 2))
+        one = batch_som(pts, SomGrid(2, 2), epochs=1, radius=(2.0, 0.5), seed=15)
+        five = batch_som(pts, SomGrid(2, 2), epochs=5, radius=(2.0, 0.5), seed=15)
+        assert one.energy_trace.shape == (1,)
+        assert one.energy_trace[0] == five.energy_trace[0]
+
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError, match="finite"):
             batch_som(np.array([[np.nan]]), SomGrid(1, 1))
