@@ -145,7 +145,8 @@ class Partition:
 
 
 def read_text(source: str | os.PathLike | IO) -> str:
-    """The UTF-8 text of a path or of an open text or binary stream.
+    """The UTF-8 text of a path or of an open text or binary stream, without
+    one leading byte-order mark (U+FEFF) if it has one.
 
     A path that cannot be read, or bytes that are not UTF-8, are a
     :class:`ParseError`.
@@ -153,9 +154,12 @@ def read_text(source: str | os.PathLike | IO) -> str:
     try:
         if hasattr(source, "read"):
             raw = source.read()
-            return raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
+        else:
+            with open(source, "rb") as fh:
+                raw = fh.read()
+        if isinstance(raw, str):
+            return raw.removeprefix("\ufeff")
+        return raw.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
 

@@ -131,23 +131,33 @@ class KernelMatrix:
         return d
 
 
+def _one_hot(units: int, index: np.ndarray) -> np.ndarray:
+    """units x len(index) indicator: column c is 1 in row index[c]."""
+    out = np.zeros((units, index.size))
+    out[index, np.arange(index.size)] = 1.0
+    return out
+
+
 class _FeatureSpace:
     """The vertices as points phi_i of one inner-product space.
 
     Built from a :class:`KernelMatrix` (<phi_i, phi_j> = K[i, j]) or, from
     anything else, as explicit coordinates (phi_i = points[i]). Prototypes
     are convex combinations sum_i gamma[m, i] phi_i given by the rows of an
-    M x n weight matrix ``gamma``. Each view supplies three primitives, the
-    squared norms, one vertex's inner-product column and gamma Phi Phi^T;
-    every distance and Gram matrix derives from those, so k-means and the
-    SOM run the same arithmetic on both views. Squared distances are clamped
-    at 0 against rounding.
+    M x n weight matrix ``gamma``. Each view keeps one row F[i] per vertex,
+    K[i] or points[i], so a point c Phi has the row c F; its inner products
+    with the vertices are that row, or that row times points^T. Each view
+    supplies the squared norms, one vertex's inner-product column, gamma
+    Phi Phi^T and the same finish for sums of rows of F; every distance and
+    Gram matrix derives from those, so k-means and the SOM run the same
+    arithmetic on both views. Squared distances are clamped at 0 against
+    rounding.
     """
 
     def __init__(self, data):
         if isinstance(data, KernelMatrix):
             self.points = None
-            self._kmat = data.matrix
+            self._rows = data.matrix
             self.sq_norms = data.diagonal
             self.what = f"kernel order {data.order}"
         else:
@@ -157,7 +167,7 @@ class _FeatureSpace:
                     f"points must be a nonempty n x p array, got shape {pts.shape}")
             if not np.isfinite(pts).all():
                 raise ValueError("points must be finite")
-            self.points = pts
+            self.points = self._rows = pts
             self.sq_norms = (pts ** 2).sum(axis=1)
             self.what = f"points of shape {pts.shape}"
         self.n = int(self.sq_norms.size)
@@ -165,23 +175,55 @@ class _FeatureSpace:
     def column(self, j: int) -> np.ndarray:
         """Inner products of every vertex with vertex j."""
         if self.points is None:
-            return self._kmat[:, j]
+            return self._rows[:, j]
         return self.points @ self.points[j]
+
+    def _inner(self, rows: np.ndarray) -> np.ndarray:
+        # rows c F of points c Phi -> their inner products with every vertex
+        return rows if self.points is None else rows @ self.points.T
 
     def cross(self, gamma: np.ndarray) -> np.ndarray:
         """gamma Phi Phi^T: M x n inner products of prototypes with vertices."""
-        if self.points is None:
-            return gamma @ self._kmat
-        return (gamma @ self.points) @ self.points.T
+        return self._inner(gamma @ self._rows)
+
+    def unit_sums(self, bmu: np.ndarray, units: int, sums: np.ndarray | None = None,
+                  before: np.ndarray | None = None) -> np.ndarray:
+        """Per-unit sums S = B F: row u sums the rows F[i] of the vertices i
+        with ``bmu[i] == u``, for ``units`` units.
+
+        Built afresh, as one one-hot product, when ``sums`` is None.
+        Otherwise ``sums`` holds the sums of the assignment ``before`` and is
+        updated in place: each vertex whose unit changed moves its row from
+        the old unit to the new one, and a unit left with no vertex gets an
+        exact zero row rather than the rounding residue of the rows it lost.
+        """
+        if sums is None:
+            return _one_hot(units, bmu) @ self._rows
+        moved = np.flatnonzero(bmu != before)
+        if moved.size:
+            left = before[moved]
+            delta = _one_hot(units, bmu[moved]) - _one_hot(units, left)
+            sums += delta @ self._rows[moved]
+            sums[left[np.bincount(bmu, minlength=units)[left] == 0]] = 0.0
+        return sums
+
+    def unit_cross(self, weights: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """weights S Phi^T for per-unit sums S from :meth:`unit_sums`: the
+        inner products with every vertex of the points weights B Phi."""
+        return self._inner(weights @ sums)
 
     def dist2_to(self, j: int) -> np.ndarray:
         """Squared distances from every vertex to vertex j."""
         d2 = self.sq_norms - 2.0 * self.column(j) + self.sq_norms[j]
         return np.maximum(d2, 0.0, out=d2)
 
-    def dist2(self, gamma: np.ndarray) -> np.ndarray:
-        """n x M squared distances from every vertex to every prototype."""
-        cross = self.cross(gamma)
+    def dist2(self, gamma: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
+        """n x M squared distances from every vertex to every prototype.
+
+        ``cross``, when given, is ``cross(gamma)`` computed by the caller.
+        """
+        if cross is None:
+            cross = self.cross(gamma)
         proto_sq = (cross * gamma).sum(axis=1)
         d2 = self.sq_norms[:, None] - 2.0 * cross.T + proto_sq[None, :]
         return np.maximum(d2, 0.0, out=d2)

@@ -184,36 +184,60 @@ def _smoothed_bmu(dist2: np.ndarray, hn: np.ndarray) -> np.ndarray:
     return np.argmin(dist2 @ hn.T, axis=1)
 
 
+def _unit_mass(influence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit's update denominator, and whether it reaches the floor."""
+    denom = influence.sum(axis=0)
+    return denom, denom >= _DEAD_UNIT_FLOOR
+
+
 def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
     """Batch update: gamma row m becomes the normalized influence column m.
 
     Units no vertex influences (denominator below the floor) keep their row.
     """
-    denom = influence.sum(axis=0)
-    alive = denom >= _DEAD_UNIT_FLOOR
+    denom, alive = _unit_mass(influence)
     out = gamma.copy()
-    out[alive] = (influence[:, alive] / denom[alive]).T
+    weights = influence[:, alive]
+    weights /= denom[alive]
+    out[alive] = weights.T
     return out
 
 
 def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
            seed: int) -> SomModel:
-    """Shared batch-SOM loop over either view of the vertices."""
+    """Shared batch-SOM loop over either view of the vertices.
+
+    After an update, live prototype m is gamma[m] = sum_u hn[u, m] b_u /
+    denom[m], where b_u is the indicator of the vertices whose unit is u, so
+    its inner products with the vertices are (hn^T S)[m] / denom[m] for the
+    per-unit sums S = B F of the vertices' rows. S changes only by the rows
+    of the vertices that changed unit, so an epoch costs O(M^2 n) plus one
+    row per moved vertex instead of the O(M n^2) of gamma Phi Phi^T.
+    """
     start, end = _check_schedule(grid, epochs, radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gamma = _initial_gamma(rng, grid.num_units, space.n)
+    units = grid.num_units
+    gamma = _initial_gamma(rng, units, space.n)
 
-    # each epoch's distances to the updated prototypes serve the next epoch
-    dist2 = space.dist2(gamma)
+    # the random start takes the one full product; a dead unit keeps its
+    # row of inner products, as it keeps its gamma row. Each epoch's
+    # distances to the updated prototypes serve the next epoch
+    cross = space.cross(gamma)
+    dist2 = space.dist2(gamma, cross)
     trace = []
-    hn = None
+    hn = bmu = sums = None
     for epoch in range(epochs):
         sigma = _sigma_at(epoch, epochs, start, end)
         hn = grid.normalized_neighborhood(sigma)
-        bmu = _smoothed_bmu(dist2, hn)
+        bmu, before = _smoothed_bmu(dist2, hn), bmu
         influence = hn[bmu]
         gamma = _update_gamma(gamma, influence)
-        dist2 = space.dist2(gamma)
+        sums = space.unit_sums(bmu, units, sums, before)
+        # divided before the product, as gamma's rows are, so a unit whose
+        # gamma row copies another's gets a bit-equal row here too
+        denom, alive = _unit_mass(influence)
+        cross[alive] = space.unit_cross((hn[:, alive] / denom[alive]).T, sums)
+        dist2 = space.dist2(gamma, cross)
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))
     return replace(model, umatrix=u_matrix(model, space))

@@ -242,6 +242,38 @@ class TestFeatureSpace:
                                        implicit.dist2_to(j), rtol=0, atol=1e-9)
 
 
+class TestUnitSums:
+    def test_updates_match_a_fresh_build(self):
+        rng = np.random.default_rng(60)
+        pts = rng.normal(size=(30, 4))
+        for space in (_FeatureSpace(pts), _FeatureSpace(KernelMatrix(pts @ pts.T))):
+            bmu = rng.integers(5, size=30)
+            sums = space.unit_sums(bmu, 5)
+            for _ in range(10):
+                before, bmu = bmu, bmu.copy()
+                moved = rng.choice(30, 4, replace=False)
+                bmu[moved] = rng.integers(5, size=4)
+                sums = space.unit_sums(bmu, 5, sums, before)
+                np.testing.assert_allclose(sums, space.unit_sums(bmu, 5),
+                                           rtol=0, atol=1e-12)
+            weights = rng.dirichlet(np.ones(5), size=3)
+            np.testing.assert_allclose(space.unit_cross(weights, sums),
+                                       space.cross(weights @ np.eye(5)[bmu].T),
+                                       rtol=0, atol=1e-12)
+
+    def test_emptied_unit_is_exactly_zero(self):
+        # vertex 0 leaves unit 0, then vertex 1 does: 0.1 + 0.2 - 0.1 - 0.2
+        # leaves 2.8e-17 in float64, which a neighbourhood weight divided by
+        # a denominator near the dead-unit floor would blow up
+        space = _FeatureSpace(np.array([[0.1], [0.2], [1.0]]))
+        steps = [np.array(s) for s in ([0, 0, 1], [1, 0, 1], [1, 1, 1])]
+        sums = space.unit_sums(steps[0], 2)
+        for before, after in zip(steps, steps[1:]):
+            sums = space.unit_sums(after, 2, sums, before)
+        assert sums[0, 0] == 0.0
+        assert sums[1, 0] == pytest.approx(1.3)
+
+
 class TestKernelMatrixType:
     def test_symmetrizes_tiny_asymmetry(self):
         a = np.eye(3)

@@ -395,6 +395,44 @@ class TestLineEndings:
             parse_attribute_table(bad)
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark parses as one without."""
+
+    BOM = b"\xef\xbb\xbf"
+    TRIANGLE = b"anna\tbruno\t2.0\nbruno\tcarla\t1.5\ncarla\tanna\t1.0\n"
+
+    def test_edge_list(self, tmp_path):
+        plain = load_edge_list(io.BytesIO(self.TRIANGLE))
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(self.BOM + self.TRIANGLE)
+        text = (self.BOM + self.TRIANGLE).decode("utf-8")
+        for source in (path, io.BytesIO(self.BOM + self.TRIANGLE), io.StringIO(text)):
+            g = load_edge_list(source)
+            assert g.labels == plain.labels == ("anna", "bruno", "carla")
+            for got, want in zip(g.edge_arrays, plain.edge_arrays):
+                assert got.tobytes() == want.tobytes()
+
+    def test_only_one_mark_is_dropped(self):
+        with pytest.raises(ParseError, match="line 1"):
+            load_edge_list(io.BytesIO(self.BOM + "\ufeff\n".encode() + self.TRIANGLE))
+
+    def test_attribute_table(self, tmp_path):
+        path = tmp_path / "attrs.tsv"
+        path.write_bytes(self.BOM + b"!schema\tera:numeric\nanna\tera\t1310\n")
+        table = parse_attribute_table(path)
+        assert table.numeric_keys == ("era",)
+        assert table.records == {"anna": {"era": 1310.0}}
+
+    def test_document(self, tmp_path):
+        g = load_edge_list(io.BytesIO(self.TRIANGLE))
+        doc = {"schema": PARTITION_SCHEMA, "schema_version": 2,
+               "assignment": {"anna": 0, "bruno": 0, "carla": 1}}
+        path = tmp_path / "part.json"
+        path.write_bytes(self.BOM + json.dumps(doc).encode("utf-8"))
+        part = partition_for_graph(load_partition_document(path), g)
+        assert part.assignment.tolist() == [0, 0, 1]
+
+
 class TestAttributeTable:
     def table_text(self):
         return "\n".join([

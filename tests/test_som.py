@@ -1,8 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import graphsom.som as som_module
-from graphsom.linalg import KernelMatrix, heat_kernel
+from graphsom.linalg import KernelMatrix, _FeatureSpace, heat_kernel
 from graphsom.som import (
     SomGrid,
     SomModel,
@@ -21,6 +24,142 @@ def random_gram(rng, n, p=3):
     pts = rng.normal(size=(n, p))
     gram = pts @ pts.T
     return KernelMatrix((gram + gram.T) / 2.0)
+
+
+def reference_train(space, grid, epochs, radius, seed):
+    """The training loop written plainly: every epoch's distances come from
+    the full product gamma Phi Phi^T of ``space.dist2(gamma)``.
+
+    Training reaches the same distances through per-unit sums, in another
+    order, so the two agree on the energy trace up to rounding and, away
+    from exact ties between units, bit for bit on assignment, gamma and
+    u-matrix. Points on a line tie often: once every occupied unit lies in
+    one grid row, each grid column's units share one prototype and one
+    smoothed score, and rounding picks the winner. So the inputs below have
+    two or more dimensions.
+    """
+    start, end = som_module._check_schedule(grid, epochs, radius)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    gamma = som_module._initial_gamma(rng, grid.num_units, space.n)
+    dist2 = space.dist2(gamma)
+    trace = []
+    for epoch in range(epochs):
+        sigma = som_module._sigma_at(epoch, epochs, start, end)
+        hn = grid.normalized_neighborhood(sigma)
+        influence = hn[som_module._smoothed_bmu(dist2, hn)]
+        gamma = som_module._update_gamma(gamma, influence)
+        dist2 = space.dist2(gamma)
+        trace.append(float((influence * dist2).sum()))
+    model = SomModel(grid, gamma, som_module._smoothed_bmu(dist2, hn),
+                     np.array(trace))
+    return replace(model, umatrix=u_matrix(model, space))
+
+
+def assert_same_training(model, expected):
+    np.testing.assert_array_equal(model.assignment, expected.assignment)
+    np.testing.assert_array_equal(model.gamma, expected.gamma)
+    np.testing.assert_array_equal(model.umatrix.values, expected.umatrix.values)
+    # a map with a vertex on every prototype has a zero trace
+    scale = np.abs(expected.energy_trace).max()
+    np.testing.assert_allclose(model.energy_trace, expected.energy_trace,
+                               rtol=1e-12, atol=1e-12 * max(scale, 1e-300))
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 7)])
+    @pytest.mark.parametrize("epochs", [1, 15])
+    def test_kernel_view_matches_reference(self, shape, epochs):
+        rng = np.random.default_rng(30 + epochs)
+        grid = SomGrid(*shape)
+        for _ in range(4):
+            kern = random_gram(rng, int(rng.integers(8, 61)),
+                               p=int(rng.integers(2, 6)))
+            seed = int(rng.integers(1 << 30))
+            assert_same_training(
+                batch_kernel_som(kern, grid, epochs=epochs, seed=seed),
+                reference_train(_FeatureSpace(kern), grid, epochs, None, seed))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 7)])
+    @pytest.mark.parametrize("epochs", [1, 15])
+    def test_points_view_matches_reference(self, shape, epochs):
+        rng = np.random.default_rng(40 + epochs)
+        grid = SomGrid(*shape)
+        for _ in range(4):
+            pts = rng.normal(size=(int(rng.integers(8, 61)),
+                                   int(rng.integers(2, 6))))
+            seed = int(rng.integers(1 << 30))
+            assert_same_training(
+                batch_som(pts, grid, epochs=epochs, seed=seed),
+                reference_train(_FeatureSpace(pts), grid, epochs, None, seed))
+
+    @pytest.mark.parametrize("view", ["kernel", "points"])
+    def test_full_product_count_does_not_grow_with_epochs(self, monkeypatch, view):
+        # the random start and the u-matrix take one gamma Phi Phi^T each;
+        # an epoch takes none
+        calls = []
+        original = _FeatureSpace.cross
+
+        def counting(self, gamma):
+            calls.append(gamma.shape)
+            return original(self, gamma)
+
+        monkeypatch.setattr(_FeatureSpace, "cross", counting)
+        pts = np.random.default_rng(50).normal(size=(30, 3))
+        data = KernelMatrix(pts @ pts.T) if view == "kernel" else pts
+        train = batch_kernel_som if view == "kernel" else batch_som
+        counts = []
+        for epochs in (5, 50):
+            calls.clear()
+            train(data, SomGrid(3, 3), epochs=epochs, seed=51)
+            counts.append(len(calls))
+        assert counts == [2, 2]
+
+
+class TestDeadUnits:
+    # eight points on a 1 x 40 grid with a radius of 0.05: a unit two steps
+    # from every occupied unit gets a neighbourhood weight of exp(-800) = 0
+    # from each vertex, so its denominator is 0 and it keeps its gamma row
+    GRID = SomGrid(1, 40)
+    KW = dict(epochs=5, radius=(0.05, 0.05), seed=1)
+
+    def points(self):
+        return np.random.default_rng(3).normal(size=(8, 2))
+
+    def test_dead_rows_keep_their_previous_gamma(self, monkeypatch):
+        recorded = []
+        original = som_module._update_gamma
+
+        def spy(gamma, influence):
+            out = original(gamma, influence)
+            recorded.append((gamma, influence, out))
+            return out
+
+        monkeypatch.setattr(som_module, "_update_gamma", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch_som(self.points(), self.GRID, **self.KW)
+        dead_counts = []
+        for before, influence, after in recorded:
+            dead = influence.sum(axis=0) < som_module._DEAD_UNIT_FLOOR
+            dead_counts.append(int(dead.sum()))
+            np.testing.assert_array_equal(after[dead], before[dead])
+        assert dead_counts == [23, 19, 17, 17, 17]
+
+    def test_both_views_match_reference_without_warnings(self):
+        pts = self.points()
+        gram = KernelMatrix(pts @ pts.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            explicit = batch_som(pts, self.GRID, **self.KW)
+            kernel = batch_kernel_som(gram, self.GRID, **self.KW)
+            reference = reference_train(_FeatureSpace(pts), self.GRID,
+                                        self.KW["epochs"], self.KW["radius"],
+                                        self.KW["seed"])
+        assert_same_training(explicit, reference)
+        np.testing.assert_array_equal(kernel.assignment, explicit.assignment)
+        np.testing.assert_array_equal(kernel.gamma, explicit.gamma)
+        np.testing.assert_allclose(kernel.energy_trace, explicit.energy_trace,
+                                   rtol=1e-9)
 
 
 class TestSomGrid:

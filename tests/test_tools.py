@@ -1,0 +1,35 @@
+"""The output comparison tool names each differing value by its key path."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_outputs_names_dotted_key_paths():
+    tool = load_tool("same_outputs")
+    old = {"schema": "graphsom/partition", "seed": 10,
+           "model": {"grid": {"rows": 7, "cols": 7}, "energy_trace": [1.0, 0.5],
+                     "umatrix": [[0.1]]},
+           "params": {"grid": [7, 7]}}
+    new = json.loads(json.dumps(old))
+    new["model"]["energy_trace"][1] = 0.5000000000000001
+    new["model"]["grid"]["cols"] = 8
+    new["params"] = [7, 7]
+    del new["seed"]
+    new["note"] = {"added": True}
+    paths = tool._differing_paths(json.dumps(old).encode(), json.dumps(new).encode())
+    assert paths == ["seed", "model.grid.cols", "model.energy_trace", "params",
+                     "note"]
+    same = json.dumps(old).encode()
+    assert tool._differing_paths(same, same) == []
+    assert tool._differing_paths(b"[1]", b"[2]") is None
+    assert tool._differing_paths(b"<svg/>", b"<svg></svg>") is None

@@ -21,6 +21,7 @@ from graphsom.layout import _anneal
 from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import RunConfig, report_document, run_cluster, run_layout, \
     run_stats
+from graphsom.som import SomGrid, batch_kernel_som
 from graphgen import complete_graph, from_weights, path_graph, random_graph
 
 N = 300
@@ -59,7 +60,7 @@ def warm_up():
     """Run each call once at a small size, so one-time costs are not counted."""
     g = graph(n=20)
     eigendecompose_symmetric(g.laplacian())
-    heat_kernel(g.laplacian(), 0.05)
+    batch_kernel_som(heat_kernel(g.laplacian(), 0.05), SomGrid(2, 2), epochs=3)
     KernelMatrix(np.eye(20).tolist())
     list(g.edges())
     report_document(g, Partition(np.arange(20) % 3, 3), {})
@@ -94,6 +95,18 @@ class TestTracedPeak:
     def test_kernel_matrix_from_lists(self):
         rows = heat_kernel(graph().laplacian(), 0.05).matrix.tolist()
         assert peak_arrays(lambda: KernelMatrix(rows)) <= 1.5
+
+    # Measured at n=300 with a 7x7 map, where one M x n array is 0.16 n x n
+    # arrays: training holds gamma, the prototypes' inner products, the
+    # per-unit sums, the distances and the influence, and the update adds
+    # its new gamma and one weight temporary, for 1.31 arrays (1.14 when
+    # every epoch took the full product gamma K and kept no unit sums; 1.47
+    # when the update divided into a second temporary). The bound adds 0.09,
+    # about half an M x n array.
+    def test_som_training(self):
+        kern = heat_kernel(graph().laplacian(), 0.05)
+        assert peak_arrays(
+            lambda: batch_kernel_som(kern, SomGrid(7, 7), epochs=100)) <= 1.4
 
     def test_edges_of_sparse_graph(self):
         g = graph()

@@ -12,8 +12,10 @@ in a fresh directory, on inputs written by ``workloads.write_inputs``: one
 one exits, with ``PYTHONPATH=<tree>/src`` and ``OPENBLAS_NUM_THREADS=1``.
 Every output file, and each command's standard output and exit status, is
 compared between the trees. Each difference is printed with the SHA-256 of
-both sides and, when both sides are JSON objects, the top-level keys whose
-values differ. The exit status is 1 if there is any difference, else 0.
+both sides and, when both sides are JSON objects, the dotted key path of
+each value that differs, such as ``model.energy_trace``: the path descends
+through objects present on both sides and stops at any other value. The
+exit status is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -36,8 +38,21 @@ def _sha256(data: bytes | None) -> str:
     return "missing" if data is None else hashlib.sha256(data).hexdigest()
 
 
-def _differing_keys(old: bytes, new: bytes) -> list[str] | None:
-    """Top-level keys whose values differ, or None unless both sides are
+def _key_paths(a: dict, b: dict, prefix: str = ""):
+    """Dotted paths of the values that differ between two JSON objects."""
+    absent = object()
+    for key in {**a, **b}:
+        x, y = a.get(key, absent), b.get(key, absent)
+        if x == y:
+            continue
+        if isinstance(x, dict) and isinstance(y, dict):
+            yield from _key_paths(x, y, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _differing_paths(old: bytes, new: bytes) -> list[str] | None:
+    """Dotted key paths whose values differ, or None unless both sides are
     JSON objects."""
     try:
         a, b = json.loads(old), json.loads(new)
@@ -45,8 +60,7 @@ def _differing_keys(old: bytes, new: bytes) -> list[str] | None:
         return None
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return None
-    absent = object()
-    return [key for key in {**a, **b} if a.get(key, absent) != b.get(key, absent)]
+    return list(_key_paths(a, b))
 
 
 def run_outputs(tree: str, workload, seed: int) -> dict[str, bytes]:
@@ -90,9 +104,9 @@ def main(argv=None) -> int:
                 differ += 1
                 line = (f"{workload.name} seed {seed}: {name}: "
                         f"{_sha256(old)} -> {_sha256(new)}")
-                keys = None if None in (old, new) else _differing_keys(old, new)
-                if keys is not None:
-                    line += f" (top-level keys differ: {', '.join(keys)})"
+                paths = None if None in (old, new) else _differing_paths(old, new)
+                if paths:
+                    line += f" (values differ at: {', '.join(paths)})"
                 print(line)
     print(f"{compared} outputs compared, {differ} differ")
     return 1 if differ else 0
