@@ -5,7 +5,9 @@ spectral view gives it coordinates, the kernel view a kernel matrix, and the
 loop sees only squared distances to vertices and to convex prototypes. So
 seeding draws, tie rules, empty-cluster repair and the restart schedule are
 shared, and feeding kernel_kmeans the Gram matrix X X^T of explicit points
-reproduces kmeans(X) partition for partition; the tests lean on that.
+reproduces kmeans(X) partition for partition, away from exact ties (duplicate
+points, equal restart energies), which each view breaks by its own rounding;
+the tests lean on that.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _lloyd(space: _FeatureSpace, k: int, rng: np.random.Generator):
         counts = np.bincount(assign, minlength=k).astype(np.float64)
         gamma = np.zeros((k, n))
         gamma[assign, np.arange(n)] = 1.0 / counts[assign]
-        dist2 = space.dist2(gamma)
+        dist2 = space.dist2(gamma, space.cross(gamma))
         trace.append(float(dist2[np.arange(n), assign].sum()))
     return assign, np.array(trace)
 
@@ -165,7 +167,8 @@ def kernel_kmeans(kernel, k: int, seed: int,
     Cluster means are implicit (uniform coefficients over members); squared
     distances come from the kernel expansion and are clamped at 0. Seeding,
     tie-breaking, repair, caps, and restart policy are identical to
-    :func:`kmeans`, draw for draw.
+    :func:`kmeans`, so on a Gram matrix it draws as kmeans does, away from
+    exact ties.
     """
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
     assign, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,10 @@ from .errors import ParseError, UsageError
 # holds about five such arrays at its peak (see README, "Memory"): at this
 # limit one array takes 800 MB and the peak about 4.0 GB.
 MAX_VERTICES = 10_000
+
+# characters that XML 1.0 cannot carry, not even as character references: a
+# label holding one could never be drawn in an SVG
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class WeightedGraph:
@@ -166,11 +171,20 @@ def read_text(source: str | os.PathLike | IO) -> str:
 
 def _tab_rows(source: str | os.PathLike | IO) -> Iterator[tuple[int, list[str]]]:
     """``(line number, tab-separated fields)`` of each line of a UTF-8 source
-    that is neither blank nor a ``#`` comment."""
-    for lineno, line in enumerate(read_text(source).splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield lineno, line.split("\t")
+    that is neither blank nor a ``#`` comment.
+
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n``, Python's universal newlines;
+    the other breaks of :meth:`str.splitlines` (``\\v``, ``\\f``, U+0085,
+    U+2028, ...) stay inside their line.
+    """
+    lineno = 0
+    for chunk in read_text(source).split("\n"):
+        # a final \r is the first half of \r\n, or ends the text
+        for line in chunk.removesuffix("\r").split("\r") if "\r" in chunk else (chunk,):
+            lineno += 1
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, line.split("\t")
 
 
 def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
@@ -210,16 +224,18 @@ def load_edge_list(source: str | os.PathLike | IO) -> WeightedGraph:
                 raise ParseError("weight must be positive", lineno)
         else:
             weight = 1.0
+        # a self-loop's vertex is still registered
+        for lab in (src, dst) if src != dst else (src,):
+            if lab not in index:
+                bad = _NOT_XML.search(lab)
+                if bad:
+                    raise ParseError(f"vertex label {lab!r} holds U+{ord(bad[0]):04X}, "
+                                     "which XML, and so SVG, cannot carry", lineno)
+                index[lab] = len(index)
         if src == dst:
             warnings.warn(f"dropping self-loop on {src!r} (line {lineno})",
                           stacklevel=2)
-            # the vertex itself is still registered
-            if src not in index:
-                index[src] = len(index)
             continue
-        for lab in (src, dst):
-            if lab not in index:
-                index[lab] = len(index)
         i, j = index[src], index[dst]
         key = (i, j) if i < j else (j, i)
         pair_weights[key] = pair_weights.get(key, 0.0) + weight

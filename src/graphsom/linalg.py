@@ -145,19 +145,17 @@ class _FeatureSpace:
     anything else, as explicit coordinates (phi_i = points[i]). Prototypes
     are convex combinations sum_i gamma[m, i] phi_i given by the rows of an
     M x n weight matrix ``gamma``. Each view keeps one row F[i] per vertex,
-    K[i] or points[i], so a point c Phi has the row c F; its inner products
-    with the vertices are that row, or that row times points^T. Each view
-    supplies the squared norms, one vertex's inner-product column, gamma
-    Phi Phi^T and the same finish for sums of rows of F; every distance and
-    Gram matrix derives from those, so k-means and the SOM run the same
-    arithmetic on both views. Squared distances are clamped at 0 against
-    rounding.
+    K[i] or points[i], in ``rows``, so a point c Phi has the row c F, and
+    :meth:`inner` maps such rows to their inner products with every vertex.
+    Every distance derives from that map and the squared norms, so k-means
+    and the SOM run the same arithmetic on both views. Squared distances are
+    clamped at 0 against rounding.
     """
 
     def __init__(self, data):
         if isinstance(data, KernelMatrix):
             self.points = None
-            self._rows = data.matrix
+            self.rows = data.matrix
             self.sq_norms = data.diagonal
             self.what = f"kernel order {data.order}"
         else:
@@ -167,24 +165,19 @@ class _FeatureSpace:
                     f"points must be a nonempty n x p array, got shape {pts.shape}")
             if not np.isfinite(pts).all():
                 raise ValueError("points must be finite")
-            self.points = self._rows = pts
+            self.points = self.rows = pts
             self.sq_norms = (pts ** 2).sum(axis=1)
             self.what = f"points of shape {pts.shape}"
         self.n = int(self.sq_norms.size)
 
-    def column(self, j: int) -> np.ndarray:
-        """Inner products of every vertex with vertex j."""
-        if self.points is None:
-            return self._rows[:, j]
-        return self.points @ self.points[j]
-
-    def _inner(self, rows: np.ndarray) -> np.ndarray:
-        # rows c F of points c Phi -> their inner products with every vertex
+    def inner(self, rows: np.ndarray) -> np.ndarray:
+        """Inner products with every vertex of the points whose rows are
+        ``rows``: the rows themselves for a kernel, rows points^T otherwise."""
         return rows if self.points is None else rows @ self.points.T
 
     def cross(self, gamma: np.ndarray) -> np.ndarray:
         """gamma Phi Phi^T: M x n inner products of prototypes with vertices."""
-        return self._inner(gamma @ self._rows)
+        return self.inner(gamma @ self.rows)
 
     def unit_sums(self, bmu: np.ndarray, units: int, sums: np.ndarray | None = None,
                   before: np.ndarray | None = None) -> np.ndarray:
@@ -198,40 +191,28 @@ class _FeatureSpace:
         exact zero row rather than the rounding residue of the rows it lost.
         """
         if sums is None:
-            return _one_hot(units, bmu) @ self._rows
+            return _one_hot(units, bmu) @ self.rows
         moved = np.flatnonzero(bmu != before)
         if moved.size:
             left = before[moved]
             delta = _one_hot(units, bmu[moved]) - _one_hot(units, left)
-            sums += delta @ self._rows[moved]
+            sums += delta @ self.rows[moved]
             sums[left[np.bincount(bmu, minlength=units)[left] == 0]] = 0.0
         return sums
 
-    def unit_cross(self, weights: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """weights S Phi^T for per-unit sums S from :meth:`unit_sums`: the
-        inner products with every vertex of the points weights B Phi."""
-        return self._inner(weights @ sums)
-
     def dist2_to(self, j: int) -> np.ndarray:
         """Squared distances from every vertex to vertex j."""
-        d2 = self.sq_norms - 2.0 * self.column(j) + self.sq_norms[j]
+        d2 = self.sq_norms - 2.0 * self.inner(self.rows[j]) + self.sq_norms[j]
         return np.maximum(d2, 0.0, out=d2)
 
-    def dist2(self, gamma: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
-        """n x M squared distances from every vertex to every prototype.
-
-        ``cross``, when given, is ``cross(gamma)`` computed by the caller.
-        """
-        if cross is None:
-            cross = self.cross(gamma)
+    def dist2(self, gamma: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        """n x M squared distances from every vertex to every prototype,
+        given ``cross``, the prototypes' inner products with the vertices."""
         proto_sq = (cross * gamma).sum(axis=1)
-        d2 = self.sq_norms[:, None] - 2.0 * cross.T + proto_sq[None, :]
+        d2 = cross.T * -2.0
+        d2 += self.sq_norms[:, None]
+        d2 += proto_sq
         return np.maximum(d2, 0.0, out=d2)
-
-    def gram(self, gamma: np.ndarray) -> np.ndarray:
-        """Exactly symmetric M x M inner products between prototypes."""
-        g = self.cross(gamma) @ gamma.T
-        return (g + g.T) / 2.0
 
 
 def heat_kernel(laplacian, beta: float) -> KernelMatrix:

@@ -5,7 +5,8 @@ matrix gamma of convex combination weights, so prototype m is the
 feature-space point sum_i gamma[m, i] * phi(x_i). Both run one training loop
 over a feature space built from coordinates or from a kernel matrix, which
 measures every distance through inner products alone; that is why
-batch_kernel_som(X @ X.T) reproduces batch_som(X) draw for draw.
+batch_kernel_som(X @ X.T) reproduces batch_som(X) draw for draw, away from
+exact ties between units, which each view breaks by its own rounding.
 
 The winning unit for a vertex is the one minimizing the
 neighborhood-smoothed distance sum_m' hn(m, m') * d2(i, m'), where hn is the
@@ -236,7 +237,7 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
         # divided before the product, as gamma's rows are, so a unit whose
         # gamma row copies another's gets a bit-equal row here too
         denom, alive = _unit_mass(influence)
-        cross[alive] = space.unit_cross((hn[:, alive] / denom[alive]).T, sums)
+        cross[alive] = space.inner((hn[:, alive] / denom[alive]).T @ sums)
         dist2 = space.dist2(gamma, cross)
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))
@@ -264,7 +265,8 @@ def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
 
     Prototypes stay convex combinations of the input points, so the result
     carries the same gamma representation and feeding the Gram matrix
-    X @ X.T to batch_kernel_som reproduces this function draw for draw.
+    X @ X.T to batch_kernel_som reproduces this function draw for draw, away
+    from exact ties between units.
     """
     return _train(_FeatureSpace(points), grid, epochs, radius, seed)
 
@@ -320,7 +322,8 @@ class UMatrix:
 
 def _prototype_distances(space: _FeatureSpace, gamma: np.ndarray) -> np.ndarray:
     """Exactly symmetric M x M feature-space distances between prototypes."""
-    gram = space.gram(gamma)
+    gram = space.cross(gamma) @ gamma.T
+    gram = (gram + gram.T) / 2.0
     sq = np.diagonal(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)

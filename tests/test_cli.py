@@ -422,6 +422,19 @@ def _number_overflows_in_a_document(tmp_path):
     return _kernel_som_document(tmp_path, "[1e400]")
 
 
+def _label_xml_cannot_carry(tmp_path, command):
+    graph = _write(tmp_path / "g.tsv", "a\x01b\tc\t1.0\nc\td\t1.0\nd\ta\x01b\t1.0\n")
+    if command == "cluster":
+        return _cluster_on(graph, tmp_path, "--method", "kernel-som", "--grid", "1x2")
+    doc = {"schema": "graphsom/partition",
+           "assignment": {"a\x01b": 0, "c": 0, "d": 1},
+           "model": {"grid": {"rows": 1, "cols": 2}, "energy_trace": [0.0],
+                     "assignment": [0, 0, 1]}}
+    return ["layout", "--mode", "full", "--input", graph,
+            "--model", _write(tmp_path / "d.json", json.dumps(doc)),
+            "--svg", str(tmp_path / "x.svg"), "--seed", "0"]
+
+
 # each input stops where it enters: the exit code of its error type, a
 # message naming the bad value or key, no traceback or numpy warning
 BOUNDARY_CASES = [
@@ -466,6 +479,12 @@ BOUNDARY_CASES = [
     ("NaN in a document", _nan_in_a_document, 3, "NaN is not a finite JSON number"),
     ("number overflows in a document", _number_overflows_in_a_document, 3,
      "1e400 is not a finite JSON number"),
+    ("cluster on a label XML cannot carry",
+     lambda tmp_path: _label_xml_cannot_carry(tmp_path, "cluster"), 3,
+     "line 1: vertex label 'a\\x01b' holds U+0001"),
+    ("full layout of a label XML cannot carry",
+     lambda tmp_path: _label_xml_cannot_carry(tmp_path, "layout"), 3,
+     "line 1: vertex label 'a\\x01b' holds U+0001"),
 ]
 
 

@@ -346,6 +346,34 @@ class TestLoadEdgeList:
         assert g.labels == ("a", "b")
         assert g.num_edges == 1
 
+    def test_lines_break_only_at_universal_newlines(self):
+        # labels are stripped of surrounding whitespace, U+2029 included
+        g = self.load("# from the 1310 charter\u2028(second scribe)\n"
+                      "anna\x85x\tbruno\t1.0\rbruno\tcarla\u2029\t2\r\n"
+                      "# a\x0cb\x1cc\x1dd\x1ee\u2028\ncarla\tanna\x85x\n")
+        assert g.labels == ("anna\x85x", "bruno", "carla")
+        assert g.num_edges == 3
+        assert g.weights[1, 2] == 2.0
+        with pytest.raises(ParseError, match="^line 5: unparseable weight 'x'$"):
+            self.load("# one\u2028two\u2029three\x85four\na\tb\rb\tc\r\n\nc\ta\tx\n")
+
+    @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                      "\ud800", "\ufffe", "\uffff"])
+    def test_label_xml_cannot_carry(self, char):
+        with pytest.raises(ParseError, match=f"^line 2: vertex label .* holds "
+                                             f"U\\+{ord(char):04X}, which XML"):
+            self.load(f"a\tb\nb\tc{char}d\t1\n")
+        # a self-loop's label is checked before the loop is dropped
+        with pytest.raises(ParseError, match="^line 1: "):
+            self.load(f"x{char}x\tx{char}x\n")
+
+    def test_labels_xml_can_carry(self):
+        labels = ("tab\x7fdel", "next\x85line", "a\u2028b", "\ud7ff\ue000\ufffd",
+                  "\U0001f600")
+        text = "".join(f"{a}\t{b}\n" for a, b in zip(labels, labels[1:]))
+        assert self.load(text).labels == labels
+
+
 class TestVertexLimit:
     def test_refused_above_the_limit(self, monkeypatch):
         monkeypatch.setattr("graphsom.graph.MAX_VERTICES", 3)

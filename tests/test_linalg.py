@@ -209,18 +209,19 @@ class TestFeatureSpace:
         space = _FeatureSpace(KernelMatrix((gram + gram.T) / 2.0))
         coeffs = np.zeros((1, 6))
         coeffs[0, 2] = 1.0
-        assert space.dist2(coeffs)[2, 0] == pytest.approx(0.0, abs=1e-12)
+        assert space.dist2(coeffs, space.cross(coeffs))[2, 0] == pytest.approx(
+            0.0, abs=1e-12)
         assert space.dist2_to(2)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_kernel_member(self):
         space = _FeatureSpace(KernelMatrix(np.eye(4)))
         coeffs = np.array([[0.5, 0.5, 0.0, 0.0]])
-        assert space.dist2(coeffs)[0, 0] == pytest.approx(0.5)
+        assert space.dist2(coeffs, space.cross(coeffs))[0, 0] == pytest.approx(0.5)
 
     def test_identity_kernel_nonmember(self):
         space = _FeatureSpace(KernelMatrix(np.eye(4)))
         coeffs = np.array([[0.5, 0.5, 0.0, 0.0]])
-        assert space.dist2(coeffs)[3, 0] == pytest.approx(1.5)
+        assert space.dist2(coeffs, space.cross(coeffs))[3, 0] == pytest.approx(1.5)
 
     def test_points_and_gram_agree(self):
         rng = np.random.default_rng(12)
@@ -231,15 +232,32 @@ class TestFeatureSpace:
             raw = pts @ pts.T
             explicit = _FeatureSpace(pts)
             implicit = _FeatureSpace(KernelMatrix((raw + raw.T) / 2.0))
-            np.testing.assert_allclose(explicit.dist2(gamma),
-                                       implicit.dist2(gamma), rtol=0, atol=1e-9)
-            gram = explicit.gram(gamma)
-            assert (gram == gram.T).all()
-            np.testing.assert_allclose(gram, implicit.gram(gamma),
+            cross = explicit.cross(gamma)
+            np.testing.assert_allclose(cross, implicit.cross(gamma),
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(explicit.dist2(gamma, cross),
+                                       implicit.dist2(gamma, implicit.cross(gamma)),
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(explicit.inner(explicit.rows[:2]),
+                                       implicit.inner(implicit.rows[:2]),
                                        rtol=0, atol=1e-9)
             j = int(rng.integers(n))
             np.testing.assert_allclose(explicit.dist2_to(j),
                                        implicit.dist2_to(j), rtol=0, atol=1e-9)
+
+    def test_dist2_is_the_expansion_in_column_order(self):
+        # one buffer, -2 cross^T + |x|^2 + |c|^2, has the bits and the
+        # F-contiguous layout of the three-temporary expression
+        rng = np.random.default_rng(13)
+        pts = rng.normal(size=(40, 3))
+        for space in (_FeatureSpace(pts), _FeatureSpace(KernelMatrix(pts @ pts.T))):
+            gamma = rng.dirichlet(np.ones(40), size=6)
+            cross = space.cross(gamma)
+            d2 = space.dist2(gamma, cross)
+            expected = (space.sq_norms[:, None] - 2.0 * cross.T
+                        + (cross * gamma).sum(axis=1)[None, :])
+            np.testing.assert_array_equal(d2, np.maximum(expected, 0.0))
+            assert d2.flags.f_contiguous
 
 
 class TestUnitSums:
@@ -257,7 +275,7 @@ class TestUnitSums:
                 np.testing.assert_allclose(sums, space.unit_sums(bmu, 5),
                                            rtol=0, atol=1e-12)
             weights = rng.dirichlet(np.ones(5), size=3)
-            np.testing.assert_allclose(space.unit_cross(weights, sums),
+            np.testing.assert_allclose(space.inner(weights @ sums),
                                        space.cross(weights @ np.eye(5)[bmu].T),
                                        rtol=0, atol=1e-12)
 

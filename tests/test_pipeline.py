@@ -394,6 +394,22 @@ class TestLineEndings:
         with pytest.raises(ParseError, match="line 7: numeric key 'date'"):
             parse_attribute_table(bad)
 
+    def test_other_line_separators_stay_in_their_line(self, tmp_path):
+        # str.splitlines would also break at each of these
+        seps = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        edges = self.write(tmp_path / "g.tsv", [
+            f"# from the 1310 charter{seps}(second scribe)", "anna\x85x\tbruno\t1.0",
+            "bruno\tcarla", "carla\tanna\x85x\tsoon"], "\r\n")
+        with pytest.raises(ParseError, match="^line 4: unparseable weight 'soon'$"):
+            load_edge_list(edges)
+        table = self.write(tmp_path / "t.tsv", [
+            "!schema\tdate:numeric", f"# note{seps}x", f"anna\x85x\tplace\tby{seps}sea",
+            "anna\x85x\tdate\tsoon"], "\n")
+        with pytest.raises(ParseError, match="^line 4: numeric key 'date'"):
+            parse_attribute_table(table)
+        table.write_text(f"a\tplace\tby{seps}sea\n", encoding="utf-8")
+        assert parse_attribute_table(table).records == {"a": {"place": f"by{seps}sea"}}
+
 
 class TestByteOrderMark:
     """A file that starts with a UTF-8 byte-order mark parses as one without."""

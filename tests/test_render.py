@@ -1,10 +1,13 @@
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from graphsom.graph import Partition, WeightedGraph, summary_graph
-from graphsom.layout import LayoutScene, Rect, force_directed_layout, som_map_scene
+from graphsom.errors import ParseError
+from graphsom.graph import Partition, WeightedGraph, load_edge_list, summary_graph
+from graphsom.layout import (LayoutScene, Rect, constrained_full_layout,
+                             force_directed_layout, som_map_scene)
 from graphsom.render import export_dot, render_svg
 from graphsom.som import SomGrid, SomModel, som_partition
 from graphgen import from_weights, random_graph, two_cliques
@@ -205,6 +208,45 @@ class TestRenderSvg:
         first = render_svg(force_directed_layout(sg, 150, frame, seed=6))
         second = render_svg(force_directed_layout(sg, 150, frame, seed=6))
         assert first == second
+
+
+# labels with characters that XML allows but rarely meets: DEL, C1 controls,
+# Unicode separators, the ends of the allowed ranges, and markup characters
+ODD_LABELS = ("del\x7f", "next\x85line", "para\u2029graph", "\ud7ff\ue000\ufffd",
+              "\U0001f600 <&>\"'")
+
+
+def odd_scenes():
+    g = WeightedGraph(ODD_LABELS, np.ones((5, 5)) - np.eye(5))
+    yield simple_scene(group_sizes=(1, 1), labels=ODD_LABELS[:2])
+    model = uniform_model(SomGrid(1, 2), [0, 0, 1, 1, 1])
+    sg = summary_graph(g, som_partition(model))
+    yield som_map_scene(model, sg)
+    yield force_directed_layout(sg, 20, Rect(0, 0, 100, 100), seed=3)
+    yield constrained_full_layout(g, model, 20, seed=3)
+
+
+@pytest.mark.parametrize("scene", odd_scenes(), ids=["simple", "map", "summary", "full"])
+@pytest.mark.parametrize("umatrix", [None, np.array([[0.0, 1.0]])], ids=["plain", "raster"])
+def test_rendered_svg_parses(scene, umatrix):
+    svg = render_svg(scene, umatrix=umatrix)
+    root = ET.fromstring(svg)
+    texts = {el.text for el in root.iter() if el.tag.split("}")[-1] == "text"}
+    assert texts <= set(scene.item_labels)
+
+
+@pytest.mark.parametrize("code", [*range(0x20), 0x7f, 0x85, 0x2028, 0xfffe, 0xffff],
+                         ids=lambda code: f"U+{code:04X}")
+def test_every_loadable_label_draws_a_parsable_svg(code):
+    char = chr(code)
+    try:
+        g = load_edge_list(io.StringIO(f"a{char}b\tc\t1\nc\td\t1\nd\ta{char}b\t1\n"))
+    except ParseError as exc:
+        assert f"U+{code:04X}" in str(exc) or char in "\t\n\r"
+        return
+    scene = constrained_full_layout(g, uniform_model(SomGrid(1, 2), [0, 1, 1]), 20, seed=3)
+    texts = [el.text for el in svg_elements(render_svg(scene), "text")]
+    assert sorted(texts) == sorted(g.labels)
 
 
 def dot_fixture():

@@ -28,7 +28,7 @@ def random_gram(rng, n, p=3):
 
 def reference_train(space, grid, epochs, radius, seed):
     """The training loop written plainly: every epoch's distances come from
-    the full product gamma Phi Phi^T of ``space.dist2(gamma)``.
+    the full product gamma Phi Phi^T of ``space.cross(gamma)``.
 
     Training reaches the same distances through per-unit sums, in another
     order, so the two agree on the energy trace up to rounding and, away
@@ -41,14 +41,14 @@ def reference_train(space, grid, epochs, radius, seed):
     start, end = som_module._check_schedule(grid, epochs, radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gamma = som_module._initial_gamma(rng, grid.num_units, space.n)
-    dist2 = space.dist2(gamma)
+    dist2 = space.dist2(gamma, space.cross(gamma))
     trace = []
     for epoch in range(epochs):
         sigma = som_module._sigma_at(epoch, epochs, start, end)
         hn = grid.normalized_neighborhood(sigma)
         influence = hn[som_module._smoothed_bmu(dist2, hn)]
         gamma = som_module._update_gamma(gamma, influence)
-        dist2 = space.dist2(gamma)
+        dist2 = space.dist2(gamma, space.cross(gamma))
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, som_module._smoothed_bmu(dist2, hn),
                      np.array(trace))

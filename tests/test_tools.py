@@ -1,4 +1,5 @@
-"""The output comparison tool names each differing value by its key path."""
+"""The output comparison tool names each differing value by its key path, and
+the benchmark recorder names the sources it measured."""
 
 import importlib.util
 import json
@@ -33,3 +34,26 @@ def test_same_outputs_names_dotted_key_paths():
     assert tool._differing_paths(same, same) == []
     assert tool._differing_paths(b"[1]", b"[2]") is None
     assert tool._differing_paths(b"<svg/>", b"<svg></svg>") is None
+
+
+def test_bench_record_hashes_the_sources(tmp_path):
+    tool = load_tool("bench_record")
+    trees = []
+    for name in ("a", "b"):
+        pkg = tmp_path / name / "src" / "pkg"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "__init__.py").write_bytes(b"x = 1\n")
+        (pkg / "sub.py").write_bytes(b"y = 2\n")
+        trees.append(str(tmp_path / name))
+    assert not (tmp_path / "a" / ".git").exists()
+    first = tool.src_sha256(trees[0])
+    assert tool.src_sha256(trees[1]) == first
+    # bytecode a run leaves behind does not count
+    (tmp_path / "b" / "src" / "pkg" / "__pycache__" / "sub.pyc").write_bytes(b"\0")
+    assert tool.src_sha256(trees[1]) == first
+    (tmp_path / "b" / "src" / "pkg" / "sub.py").write_bytes(b"y = 3\n")
+    assert tool.src_sha256(trees[1]) != first
+    # moving bytes between files changes the hash too
+    (tmp_path / "b" / "src" / "pkg" / "sub.py").write_bytes(b"1\ny = 2\n")
+    (tmp_path / "b" / "src" / "pkg" / "__init__.py").write_bytes(b"x = ")
+    assert tool.src_sha256(trees[1]) != first

@@ -13,16 +13,18 @@ the change first in odd ones, so drift of the host over the runs falls on
 both sides alike.
 
 ``BENCH_<LABEL>.json`` at the repository root then holds the benchmark
-definition, the run order, every run's exit status and the rest of the
-record ``--all`` wrote (the environment header with the tree's commit, the
-seed and both workloads' metrics), and, per side, workload and end-to-end
-metric, the median and quartiles over the runs. The exit status is 1 if any
-run failed.
+definition, each side's ``src_sha256`` (see :func:`src_sha256`, so a tree
+exported without ``.git`` is still named), the run order, every run's exit
+status and the rest of the record ``--all`` wrote (the environment header
+with the tree's commit where it is a git checkout, the seed and both
+workloads' metrics), and, per side, workload and end-to-end metric, the
+median and quartiles over the runs. The exit status is 1 if any run failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -38,6 +40,25 @@ def benchmark(tree: str) -> dict:
     """The benchmark definition, ``BENCHMARK.json``, of ``tree``."""
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def src_sha256(tree: str) -> str:
+    """SHA-256 over the files under ``tree/src`` in sorted order of their
+    relative paths: each path, its length in bytes and its bytes. Bytecode
+    caches and ``*.egg-info`` directories, which running and installing
+    leave behind, are skipped."""
+    src = os.path.join(tree, "src")
+    files = []
+    for top, dirs, names in os.walk(src):
+        dirs[:] = [d for d in dirs if d != "__pycache__" and not d.endswith(".egg-info")]
+        files += [os.path.relpath(os.path.join(top, name), src) for name in names]
+    digest = hashlib.sha256()
+    for rel in sorted(path.replace(os.sep, "/") for path in files):
+        with open(os.path.join(src, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(tree: str) -> dict:
@@ -91,6 +112,7 @@ def main(argv=None) -> int:
         print("the two trees' BENCHMARK.json differ; nothing was run",
               file=sys.stderr)
         return 1
+    hashes = {side: src_sha256(tree) for side, tree in trees.items()}
     runs = []
     for pair in range(PAIRS):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
@@ -104,7 +126,7 @@ def main(argv=None) -> int:
         return 1
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"label": args.label, "benchmark": spec,
+        json.dump({"label": args.label, "benchmark": spec, "src_sha256": hashes,
                    "order": [[run["pair"], run["side"]] for run in runs],
                    "summary": summary(runs), "runs": runs}, fh, indent=1)
         fh.write("\n")
