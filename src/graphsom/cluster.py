@@ -1,13 +1,12 @@
-"""Lloyd k-means, spectral clustering, kernel k-means, q-modularity, stats.
+"""Lloyd k-means on either feature map of a graph, q-modularity, stats.
 
-Both k-means entry points run the one Lloyd loop over a feature space: the
-spectral view gives it coordinates, the kernel view a kernel matrix, and the
-loop sees only squared distances to vertices and to convex prototypes. So
-seeding draws, tie rules, empty-cluster repair and the restart schedule are
-shared, and feeding kernel_kmeans the Gram matrix X X^T of explicit points
-reproduces kmeans(X) partition for partition, away from exact ties (duplicate
-points, equal restart energies), which each view breaks by its own rounding;
-the tests lean on that.
+:func:`kmeans` takes coordinates or a :class:`KernelMatrix`, and its one
+Lloyd loop sees only squared distances to vertices and to convex
+prototypes; kernel_kmeans and spectral_clustering are kmeans on a kernel and
+on an embedding. So kernel_kmeans on the Gram matrix X X^T of explicit
+points reproduces kmeans(X) partition for partition, away from exact ties
+(duplicate points, equal restart energies), which each view breaks by its
+own rounding; the tests lean on that.
 """
 
 from __future__ import annotations
@@ -149,6 +148,9 @@ def kmeans(points, k: int, seed: int,
            restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """Best-of-restarts Lloyd k-means with probabilistic far-point seeding.
 
+    ``points`` is an n x p array of coordinates or a :class:`KernelMatrix`,
+    whose cluster means stay implicit (uniform coefficients over members)
+    and whose squared distances come from the kernel expansion, clamped at 0.
     Each restart seeds centers k-means++ style, then alternates assignment
     (ties to the lowest center index, empty clusters repaired by seizing the
     farthest point from a donor of size >= 2) and mean updates until the
@@ -162,23 +164,17 @@ def kmeans(points, k: int, seed: int,
 
 def kernel_kmeans(kernel, k: int, seed: int,
                   restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
-    """Lloyd k-means carried out entirely through a kernel matrix.
-
-    Cluster means are implicit (uniform coefficients over members); squared
-    distances come from the kernel expansion and are clamped at 0. Seeding,
-    tie-breaking, repair, caps, and restart policy are identical to
-    :func:`kmeans`, so on a Gram matrix it draws as kmeans does, away from
-    exact ties.
-    """
+    """:func:`kmeans` on ``kernel`` read as a kernel matrix, even when it is
+    a bare array; on a Gram matrix it draws as kmeans does, away from exact
+    ties."""
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    assign, trace = _best_lloyd(_FeatureSpace(kern), k, seed, restarts)
-    return KMeansResult(Partition(assign, k), float(trace[-1]), trace,
-                        int(trace.size))
+    return kmeans(kern, k, seed, restarts)
 
 
 def spectral_clustering(g: WeightedGraph, p: int, k: int, seed: int,
                         restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
-    """k-means on the rows of the p lowest-eigenvalue Laplacian eigenvectors."""
+    """:func:`kmeans` on the rows of the p lowest-eigenvalue Laplacian
+    eigenvectors."""
     # k first, so a p defaulted to k does not take the blame for it
     _check_kmeans(k, g.num_vertices, restarts)
     coords = spectral_embedding(g.laplacian(), p)

@@ -115,12 +115,6 @@ class WeightedGraph:
         """
         return self._laplacian
 
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """``(i, j, weight)`` with ``i < j`` for every edge, in row-major order."""
-        i, j, w = self.edge_arrays
-        # lazily, so nothing grows with the edge count but what the caller keeps
-        return zip(map(int, i), map(int, j), map(float, w))
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:

@@ -82,9 +82,6 @@ class Rect:
         return Rect(self.x + mx, self.y + my,
                     self.width - 2.0 * mx, self.height - 2.0 * my)
 
-    def contains(self, x: float, y: float) -> bool:
-        return bool(self.x <= x <= self.x1 and self.y <= y <= self.y1)
-
 
 @dataclass(frozen=True, eq=False)
 class LayoutScene:
@@ -165,7 +162,7 @@ class LayoutScene:
                 raise ValueError("cell_of_item must have one entry per item")
             if cell_of.min() < 0 or cell_of.max() >= len(cells):
                 raise ValueError("cell index out of range")
-            # x0, y0, x1, y1 of each item's cell; bounds inclusive as in Rect
+            # x0, y0, x1, y1 of each item's cell; its bounds are inclusive
             box = np.array([(c.x, c.y, c.x1, c.y1) for c in cells])[cell_of]
             outside = ((pos < box[:, :2]) | (pos > box[:, 2:])).any(axis=1)
             if outside.any():

@@ -18,14 +18,14 @@ from typing import IO, Mapping
 import numpy as np
 
 from . import graph
-from .cluster import DEFAULT_RESTARTS, _check_kmeans, kernel_kmeans, partition_stats, \
-    q_modularity, spectral_clustering
+from .cluster import DEFAULT_RESTARTS, _check_kmeans, kmeans, partition_stats, \
+    q_modularity
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, _tab_rows, load_edge_list, read_text, \
     summary_graph
-from .linalg import heat_kernel
+from .linalg import heat_kernel, spectral_embedding
 from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, _check_schedule, \
-    batch_kernel_som, default_radius, som_partition, spectral_som
+    batch_som, default_radius, som_partition
 
 PARTITION_SCHEMA = "graphsom/partition"
 REPORT_SCHEMA = "graphsom/report"
@@ -349,28 +349,32 @@ def run_cluster(config: RunConfig) -> dict:
     _refuse_shared_target(config.out, config.report)
     cfg = config.resolved()
     g = load_edge_list(config.input)
-    method, seed = config.method, config.seed
-    # range checks that would otherwise wait for the heat kernel's eigensolve
+    seed = config.seed
+    # range checks that would otherwise wait for the eigensolve
     if cfg["grid"] is not None:
         grid = SomGrid(**cfg["grid"])
         _check_schedule(grid, cfg["epochs"], cfg["radius"])
     else:
         _check_kmeans(cfg["k"], g.num_vertices, cfg["restarts"])
-    # the kernel methods are the ones that take a beta
-    if cfg["beta"] is not None:
-        kern = heat_kernel(g.laplacian(), cfg["beta"])
-    model = None
-    if method == "spectral":
-        part = spectral_clustering(g, cfg["p"], cfg["k"], seed,
-                                   cfg["restarts"]).partition
-    elif method == "kernel-kmeans":
-        part = kernel_kmeans(kern, cfg["k"], seed, cfg["restarts"]).partition
-    elif method == "spectral-som":
-        model = spectral_som(g, cfg["p"], grid, cfg["epochs"], cfg["radius"], seed)
-    else:
-        model = batch_kernel_som(kern, grid, cfg["epochs"], cfg["radius"], seed)
-    if model is not None:
-        part = som_partition(model)
+    # one feature map, spectral or heat kernel (the methods that take a
+    # beta), then one engine, k-means or the map
+    try:
+        if cfg["beta"] is None:
+            features = spectral_embedding(g.laplacian(), cfg["p"])
+        else:
+            features = heat_kernel(g.laplacian(), cfg["beta"])
+        model = None
+        if cfg["grid"] is None:
+            part = kmeans(features, cfg["k"], seed, cfg["restarts"]).partition
+        else:
+            model = batch_som(features, grid, cfg["epochs"], cfg["radius"], seed)
+            part = som_partition(model)
+    except MemoryError:
+        # README "Memory": five dense n x n arrays, the edges, and the runtime
+        n, m = g.num_vertices, g.num_edges
+        peak = (5 * 8 * n * n + 16 * m) / 1e6 + 35
+        raise UsageError(f"out of memory clustering {n} vertices and {m} edges; "
+                         f"cluster needs about {peak:,.0f} MB") from None
 
     pdoc = partition_document(g, part, cfg, model)
     outputs = [(config.out, document_bytes(pdoc))]

@@ -1,9 +1,9 @@
-"""Batch self-organizing maps on a rectangular grid, explicit and kernelized.
+"""Batch self-organizing maps on a rectangular grid, on either feature map.
 
-Prototypes are never stored as raw vectors: both variants carry an M x n
-matrix gamma of convex combination weights, so prototype m is the
-feature-space point sum_i gamma[m, i] * phi(x_i). Both run one training loop
-over a feature space built from coordinates or from a kernel matrix, which
+:func:`batch_som` takes coordinates or a :class:`KernelMatrix`; the kernel
+and spectral variants are batch_som on a kernel and on an embedding. The
+map never stores raw prototypes but an M x n matrix gamma of convex weights,
+prototype m being the point sum_i gamma[m, i] * phi(x_i), and training
 measures every distance through inner products alone; that is why
 batch_kernel_som(X @ X.T) reproduces batch_som(X) draw for draw, away from
 exact ties between units, which each view breaks by its own rounding.
@@ -247,26 +247,22 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
 def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
                      radius: tuple[float, float] | None = None,
                      seed: int = 0) -> SomModel:
-    """Batch SOM driven entirely through a kernel matrix.
-
-    Each epoch: smoothed best-matching units under the current neighborhood,
-    then the closed-form batch update of every prototype's convex weights,
-    with the neighborhood radius moving linearly from radius[0] to radius[1].
-    The energy trace records the extended distortion after each epoch.
-    """
+    """:func:`batch_som` on ``kernel`` read as a kernel matrix, even when it
+    is a bare array; on a Gram matrix it draws as batch_som does, away from
+    exact ties between units."""
     kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    return _train(_FeatureSpace(kern), grid, epochs, radius, seed)
+    return batch_som(kern, grid, epochs, radius, seed)
 
 
 def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
               radius: tuple[float, float] | None = None,
               seed: int = 0) -> SomModel:
-    """Euclidean batch SOM with the same scheduling as the kernel variant.
+    """Batch SOM on an n x p array of coordinates or a :class:`KernelMatrix`.
 
-    Prototypes stay convex combinations of the input points, so the result
-    carries the same gamma representation and feeding the Gram matrix
-    X @ X.T to batch_kernel_som reproduces this function draw for draw, away
-    from exact ties between units.
+    Each epoch: smoothed best-matching units under the current neighborhood,
+    then the closed-form batch update of every prototype's convex weights,
+    with the neighborhood radius moving linearly from radius[0] to radius[1].
+    The energy trace records the extended distortion after each epoch.
     """
     return _train(_FeatureSpace(points), grid, epochs, radius, seed)
 
@@ -275,7 +271,7 @@ def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
                  epochs: int = DEFAULT_EPOCHS,
                  radius: tuple[float, float] | None = None,
                  seed: int = 0) -> SomModel:
-    """Batch SOM on the spectral embedding of a graph."""
+    """:func:`batch_som` on the spectral embedding of a graph."""
     _check_schedule(grid, epochs, radius)
     coords = spectral_embedding(g.laplacian(), p)
     return batch_som(coords, grid, epochs, radius, seed)

@@ -14,6 +14,12 @@ def from_weights(w, prefix="v"):
     return WeightedGraph(labels(w.shape[0], prefix), w)
 
 
+def edge_list(g):
+    """``(i, j, weight)`` with ``i < j`` for every edge of g, in row-major
+    order, as Python ints and floats."""
+    return list(zip(*(a.tolist() for a in g.edge_arrays)))
+
+
 def path_graph(n, weight=1.0):
     """Path v0 - v1 - ... - v{n-1} with uniform edge weight."""
     w = np.zeros((n, n))

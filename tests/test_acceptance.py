@@ -38,6 +38,7 @@ from graphsom.layout import Rect
 from graphsom.pipeline import RunConfig, run_cluster, run_layout, run_stats
 from graphgen import (
     complete_graph,
+    edge_list,
     path_graph,
     random_graph,
     random_laplacian,
@@ -151,7 +152,7 @@ def brute_force_q(g, assignment, k):
     total = 0.0
     intra = np.zeros(k)
     degree_mass = np.zeros(k)
-    for i, j, w in g.edges():
+    for i, j, w in edge_list(g):
         total += w
         if assignment[i] == assignment[j]:
             intra[assignment[i]] += w
@@ -273,9 +274,9 @@ def test_criterion_08_som_structure(monkeypatch):
 
 def test_criterion_09_layout_invariants():
     def containment(scene):
-        inside = sum(
-            scene.cell_regions[scene.cell_of_item[i]].contains(*scene.positions[i])
-            for i in range(scene.num_items))
+        cells = [scene.cell_regions[c] for c in scene.cell_of_item]
+        inside = sum(c.x <= x <= c.x1 and c.y <= y <= c.y1
+                     for c, (x, y) in zip(cells, scene.positions.tolist()))
         return inside, scene.num_items
 
     g = two_cliques(10, bridge=1.0)
@@ -313,7 +314,7 @@ def test_criterion_09_layout_invariants():
 def test_criterion_10_scale_landmark(tmp_path):
     t0 = time.perf_counter()
     g = random_graph(615, density=0.0225, rng=np.random.default_rng(10615))
-    lines = [f"{g.labels[i]}\t{g.labels[j]}\t{w!r}" for i, j, w in g.edges()]
+    lines = [f"{g.labels[i]}\t{g.labels[j]}\t{w!r}" for i, j, w in edge_list(g)]
     graph_path = tmp_path / "landmark.tsv"
     graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

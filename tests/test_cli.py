@@ -16,7 +16,7 @@ from graphsom.layout import CELL_SIDE
 from graphsom.linalg import eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import _METHOD_KNOBS, LAYOUT_ITERATIONS, document_bytes
 from graphsom.som import SomGrid, batch_kernel_som
-from graphgen import random_graph
+from graphgen import edge_list, random_graph
 
 
 def clique_file(path, size=4, bridge=0.0):
@@ -236,6 +236,27 @@ class TestOutOfRangeValues:
         name = knobs[-2].lstrip("-")
         assert capsys.readouterr().err.startswith(f"graphsom: {name} must be")
         assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
+    @pytest.mark.parametrize("method, knobs", [
+        ("spectral", ["--k", "2"]), ("kernel-som", ["--grid", "2x2"])])
+    def test_out_of_memory_exits_2_and_keeps_the_target(
+            self, tmp_path, graph_file, capsys, monkeypatch, method, knobs):
+        def no_memory(m):
+            raise MemoryError
+
+        monkeypatch.setattr("graphsom.linalg.eigendecompose_symmetric", no_memory)
+        out = tmp_path / "p.json"
+        out.write_bytes(b"an earlier partition\n")
+        code = main(["cluster", "--input", graph_file, "--method", method,
+                     *knobs, "--seed", "0", "--out", str(out),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        # 8 vertices and 12 edges: 5 * 8 * 8^2 + 16 * 12 bytes plus 35 MB
+        assert capsys.readouterr().err == (
+            "graphsom: out of memory clustering 8 vertices and 12 edges; "
+            "cluster needs about 35 MB\n")
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv", "p.json"]
+        assert out.read_bytes() == b"an earlier partition\n"
 
     @pytest.mark.parametrize("knobs, name", [
         (["--k", "0"], "k"), (["--k", "9"], "k"),
@@ -1186,7 +1207,7 @@ class TestDeterminism:
         # the criterion-10 landmark graph; heat-kernel bits may differ
         # between BLAS thread counts, the cluster assignment must not
         g = random_graph(615, density=0.0225, rng=np.random.default_rng(10615))
-        lines = [f"{g.labels[i]}\t{g.labels[j]}\t{w!r}" for i, j, w in g.edges()]
+        lines = [f"{g.labels[i]}\t{g.labels[j]}\t{w!r}" for i, j, w in edge_list(g)]
         graph = tmp_path / "landmark.tsv"
         graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
         tables = []

@@ -153,6 +153,18 @@ class TestKernelKMeans:
             assert kern.within_energy == pytest.approx(explicit.within_energy,
                                                        rel=1e-6, abs=1e-9)
 
+    def test_is_kmeans_on_a_kernel_matrix(self):
+        # a bare array is read as a kernel here, as coordinates by kmeans
+        k = heat_kernel(random_graph(30, rng=3).laplacian(), 0.2).matrix.copy()
+        direct = kernel_kmeans(k, 4, seed=8, restarts=3)
+        via_kmeans = kmeans(KernelMatrix(k), 4, seed=8, restarts=3)
+        assert direct.partition.k == via_kmeans.partition.k == 4
+        assert direct.partition.assignment.tobytes() == \
+            via_kmeans.partition.assignment.tobytes()
+        assert direct.energy_trace.tobytes() == via_kmeans.energy_trace.tobytes()
+        assert direct.within_energy == via_kmeans.within_energy
+        assert direct.iterations == via_kmeans.iterations
+
     def test_heat_kernel_splits_cliques(self):
         g = two_cliques(10)
         k = heat_kernel(g.laplacian(), 0.05)

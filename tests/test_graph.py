@@ -6,7 +6,8 @@ import pytest
 
 from graphsom import ParseError, Partition, UsageError, WeightedGraph, load_edge_list, \
     q_modularity, summary_graph
-from graphgen import complete_graph, from_weights, path_graph, random_graph, two_cliques
+from graphgen import complete_graph, edge_list, from_weights, path_graph, random_graph, \
+    two_cliques
 
 
 class TestWeightedGraph:
@@ -53,7 +54,7 @@ class TestWeightedGraph:
 
     def test_edges_iteration(self):
         g = path_graph(3, weight=2.5)
-        assert list(g.edges()) == [(0, 1, 2.5), (1, 2, 2.5)]
+        assert edge_list(g) == [(0, 1, 2.5), (1, 2, 2.5)]
 
 
 class TestLaplacian:
@@ -119,7 +120,7 @@ class TestLaplacianBytes:
         assert lap.tobytes() == dense_laplacian(w).tobytes()
         # a non-edge is -0.0 and the isolated vertex's degree +0.0
         assert np.signbit(lap[0, 3]) and not np.signbit(lap[3, 3])
-        assert list(g.edges()) == [(0, 1, 4.0), (0, 2, 0.1 + 0.7), (1, 2, 0.25)]
+        assert edge_list(g) == [(0, 1, 4.0), (0, 2, 0.1 + 0.7), (1, 2, 0.25)]
 
 
 def dense_q(block):
@@ -166,7 +167,7 @@ class TestClusterBlocks:
         for p in partitions(g.num_vertices):
             c = p.assignment
             half = np.zeros((p.k, p.k))
-            for i, j, w in g.edges():
+            for i, j, w in edge_list(g):
                 half[c[i], c[j]] += w
             block = half + half.T
             s = summary_graph(g, p)
@@ -200,7 +201,7 @@ class TestDerivedFromLaplacian:
         assert g.num_edges == np.count_nonzero(w) // 2
         # summed in edge order
         assert g.total_weight == float(np.array([e[2] for e in edges]).sum())
-        assert list(g.edges()) == edges
+        assert edge_list(g) == edges
 
     @pytest.mark.parametrize("name", ["edgeless", "single vertex"])
     def test_edgeless_total_weight_is_positive_zero(self, name):
@@ -210,7 +211,7 @@ class TestDerivedFromLaplacian:
 
     def test_loaded_graph_matches_the_constructed_one(self):
         w = weight_matrices()["random"]
-        lines = [f"v{i}\tv{j}\t{weight!r}" for i, j, weight in from_weights(w).edges()]
+        lines = [f"v{i}\tv{j}\t{weight!r}" for i, j, weight in edge_list(from_weights(w))]
         lines.append("lone\tlone")  # a vertex with no edges, degree +0.0
         with pytest.warns(UserWarning, match="self-loop"):
             g = load_edge_list(io.StringIO("\n".join(lines)))
@@ -222,7 +223,7 @@ class TestDerivedFromLaplacian:
         assert g.laplacian().tobytes() == expected.laplacian().tobytes()
         assert g.weights.tobytes() == full.tobytes()
         assert g.total_weight == expected.total_weight
-        assert list(g.edges()) == list(expected.edges())
+        assert edge_list(g) == edge_list(expected)
 
     def test_weights_are_new_and_read_only(self):
         g = path_graph(4)

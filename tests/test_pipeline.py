@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from graphsom.cluster import kernel_kmeans, spectral_clustering
 from graphsom.errors import ParseError, UsageError
 from graphsom.graph import load_edge_list
+from graphsom.linalg import heat_kernel
 from graphsom.pipeline import (
     ATTRIBUTE_SUMMARY_SCHEMA,
     PARTITION_SCHEMA,
@@ -24,8 +26,9 @@ from graphsom.pipeline import (
     run_layout,
     run_stats,
 )
-from graphsom.som import SomGrid, default_radius, u_matrix
-from graphgen import two_cliques
+from graphsom.som import SomGrid, SomModel, batch_kernel_som, default_radius, \
+    som_partition, spectral_som, u_matrix
+from graphgen import edge_list, random_graph, two_cliques
 
 
 def write_cliques(path, size=10, bridge=0.0, weight=1.0):
@@ -39,6 +42,21 @@ def write_cliques(path, size=10, bridge=0.0, weight=1.0):
         lines.append(f"v0\tv{size}\t{bridge}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# each method's knobs, and the library call that runs it with them at seed 5
+LIBRARY_RUNS = {
+    "spectral": ({"k": 4, "p": 3, "restarts": 2},
+                 lambda g: spectral_clustering(g, 3, 4, 5, 2)),
+    "kernel-kmeans": ({"k": 4, "beta": 0.3, "restarts": 2},
+                      lambda g: kernel_kmeans(heat_kernel(g.laplacian(), 0.3),
+                                              4, 5, 2)),
+    "spectral-som": ({"p": 3, "grid": (2, 2), "epochs": 7, "radius": (1.5, 0.5)},
+                     lambda g: spectral_som(g, 3, SomGrid(2, 2), 7, (1.5, 0.5), 5)),
+    "kernel-som": ({"beta": 0.3, "grid": (2, 2), "epochs": 7, "radius": (1.5, 0.5)},
+                   lambda g: batch_kernel_som(heat_kernel(g.laplacian(), 0.3),
+                                              SomGrid(2, 2), 7, (1.5, 0.5), 5)),
+}
 
 
 def config_for(tmp_path, method, **kw):
@@ -184,6 +202,30 @@ class TestRunCluster:
         expected = {knob: cfg[knob] for knob in _METHOD_KNOBS[method]}
         assert list(pdoc["params"].items()) == list(expected.items())
         assert "method" not in pdoc["params"] and "seed" not in pdoc["params"]
+
+    @pytest.mark.parametrize("method", list(LIBRARY_RUNS))
+    def test_matches_the_library_function(self, tmp_path, method):
+        # a graph with no clear clusters, where every knob moves the result
+        g = random_graph(24, density=0.2, rng=4)
+        (tmp_path / "graph.tsv").write_text(
+            "".join(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in edge_list(g)),
+            encoding="utf-8")
+        knobs, run = LIBRARY_RUNS[method]
+        pdoc = run_cluster(config_for(tmp_path, method, seed=5, **knobs))["partition"]
+        g = load_edge_list(tmp_path / "graph.tsv")
+        result = run(g)
+        if isinstance(result, SomModel):
+            part = som_partition(result)
+            assert pdoc["model"] == {
+                "grid": {"rows": 2, "cols": 2},
+                "energy_trace": result.energy_trace.tolist(),
+                "assignment": result.assignment.tolist(),
+                "umatrix": result.umatrix.values.tolist()}
+        else:
+            part = result.partition
+            assert "model" not in pdoc
+        assert pdoc["num_clusters"] == part.k
+        assert pdoc["assignment"] == dict(zip(g.labels, part.assignment.tolist()))
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         write_cliques(tmp_path / "graph.tsv", size=5)

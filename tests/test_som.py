@@ -203,6 +203,15 @@ class TestSomGrid:
 
 
 class TestBatchKernelSom:
+    def test_is_batch_som_on_a_kernel_matrix(self):
+        # a bare array is read as a kernel here, as coordinates by batch_som
+        k = heat_kernel(two_cliques(6, bridge=1.0).laplacian(), 0.3).matrix.copy()
+        direct = batch_kernel_som(k, SomGrid(2, 3), epochs=9, seed=4)
+        via_som = batch_som(KernelMatrix(k), SomGrid(2, 3), epochs=9, seed=4)
+        for name in ("gamma", "assignment", "energy_trace"):
+            assert getattr(direct, name).tobytes() == getattr(via_som, name).tobytes()
+        assert direct.umatrix.values.tobytes() == via_som.umatrix.values.tobytes()
+
     def test_single_unit_grid(self):
         rng = np.random.default_rng(0)
         k = random_gram(rng, 9)

@@ -1,5 +1,5 @@
 """The output comparison tool names each differing value by its key path, and
-the benchmark recorder names the sources it measured."""
+the benchmark recorder names and counts the sources it measured."""
 
 import importlib.util
 import json
@@ -57,3 +57,19 @@ def test_bench_record_hashes_the_sources(tmp_path):
     (tmp_path / "b" / "src" / "pkg" / "sub.py").write_bytes(b"1\ny = 2\n")
     (tmp_path / "b" / "src" / "pkg" / "__init__.py").write_bytes(b"x = ")
     assert tool.src_sha256(trees[1]) != first
+
+
+def test_bench_record_counts_the_source_lines(tmp_path):
+    tool = load_tool("bench_record")
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (pkg / "__init__.py").write_bytes(b"x = 1\ny = 2\n")
+    (pkg / "sub.py").write_bytes(b"z = 3\r\n# no final newline")
+    assert tool.src_lines(str(tmp_path)) == 3
+    # run and install leftovers are skipped, as in the hash
+    (pkg / "__pycache__" / "sub.pyc").write_bytes(b"\n\n")
+    (tmp_path / "src" / "pkg.egg-info").mkdir()
+    (tmp_path / "src" / "pkg.egg-info" / "SOURCES.txt").write_bytes(b"a\nb\n")
+    assert tool.src_lines(str(tmp_path)) == 3
+    assert [rel for rel, _ in tool.src_files(str(tmp_path))] == \
+        ["pkg/__init__.py", "pkg/sub.py"]

@@ -22,7 +22,7 @@ from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import RunConfig, report_document, run_cluster, run_layout, \
     run_stats
 from graphsom.som import SomGrid, batch_kernel_som
-from graphgen import complete_graph, from_weights, path_graph, random_graph
+from graphgen import complete_graph, edge_list, from_weights, path_graph, random_graph
 
 N = 300
 
@@ -62,7 +62,6 @@ def warm_up():
     eigendecompose_symmetric(g.laplacian())
     batch_kernel_som(heat_kernel(g.laplacian(), 0.05), SomGrid(2, 2), epochs=3)
     KernelMatrix(np.eye(20).tolist())
-    list(g.edges())
     report_document(g, Partition(np.arange(20) % 3, 3), {})
     q_modularity(g, Partition(np.arange(20) % 3, 30))
     summary_graph(g, Partition(np.arange(20), 20))
@@ -80,10 +79,7 @@ class TestTracedPeak:
     # S = V e^(-beta Lambda / 2) and K = S S^T (2.2; 3.0 with V, V*d and K
     # plus K's copy, 5.0 when it also kept the decomposition). A kernel
     # built from nested lists holds the one converted array (1.2; 3.0 when
-    # it converted, then averaged). Listing the edges of a sparse graph
-    # holds its tuples (0.2; 1.3 with triu(W)), and those of a complete
-    # graph, whose edge arrays alone take one array, mostly its Python
-    # tuples (6.4; 6.6 row by row from L, 8.6 with triu(W)).
+    # it converted, then averaged).
     def test_eigendecomposition(self):
         lap = graph().laplacian()
         assert peak_arrays(lambda: eigendecompose_symmetric(lap)) <= 2.5
@@ -108,15 +104,6 @@ class TestTracedPeak:
         assert peak_arrays(
             lambda: batch_kernel_som(kern, SomGrid(7, 7), epochs=100)) <= 1.4
 
-    def test_edges_of_sparse_graph(self):
-        g = graph()
-        assert peak_arrays(lambda: list(g.edges())) <= 0.5
-
-    def test_edges_of_complete_graph(self):
-        g = complete_graph(N)
-        assert sum(a.nbytes for a in g.edge_arrays) == 16 * g.num_edges
-        assert peak_arrays(lambda: list(g.edges())) <= 7.5
-
     # Measured at n=300: a graph with its edge totals in hand holds 0.08
     # arrays, its 16 bytes an edge and its labels (1.0 when it held L, 2.0
     # when it kept W and built L per call), and its Laplacian adds one
@@ -133,6 +120,8 @@ class TestTracedPeak:
 
         held, _ = traced(build)
         assert held / (8.0 * N * N) <= 0.1
+        g = complete_graph(N)
+        assert sum(a.nbytes for a in g.edge_arrays) == 16 * g.num_edges
         g = graph()
         held, _ = traced(g.laplacian)
         assert 1.0 <= held / (8.0 * N * N) <= 1.05
@@ -217,7 +206,7 @@ def command_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("commands")
     g = graph()
     (d / "graph.tsv").write_text(
-        "".join(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in g.edges()),
+        "".join(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in edge_list(g)),
         encoding="utf-8")
     run_cluster(RunConfig(input=d / "graph.tsv", method="spectral", seed=0,
                           out=d / "part.json", k=7))

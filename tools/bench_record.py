@@ -14,7 +14,8 @@ both sides alike.
 
 ``BENCH_<LABEL>.json`` at the repository root then holds the benchmark
 definition, each side's ``src_sha256`` (see :func:`src_sha256`, so a tree
-exported without ``.git`` is still named), the run order, every run's exit
+exported without ``.git`` is still named) and ``src_lines`` (the line count
+of the same files), the run order, every run's exit
 status and the rest of the record ``--all`` wrote (the environment header
 with the tree's commit where it is a git checkout, the seed and both
 workloads' metrics), and, per side, workload and end-to-end metric, the
@@ -42,23 +43,35 @@ def benchmark(tree: str) -> dict:
         return json.load(fh)
 
 
-def src_sha256(tree: str) -> str:
-    """SHA-256 over the files under ``tree/src`` in sorted order of their
-    relative paths: each path, its length in bytes and its bytes. Bytecode
-    caches and ``*.egg-info`` directories, which running and installing
-    leave behind, are skipped."""
+def src_files(tree: str) -> list[tuple[str, bytes]]:
+    """``(path, bytes)`` of the files under ``tree/src``, in sorted order
+    of their relative paths. Bytecode caches and ``*.egg-info``
+    directories, which running and installing leave behind, are skipped."""
     src = os.path.join(tree, "src")
     files = []
     for top, dirs, names in os.walk(src):
         dirs[:] = [d for d in dirs if d != "__pycache__" and not d.endswith(".egg-info")]
         files += [os.path.relpath(os.path.join(top, name), src) for name in names]
-    digest = hashlib.sha256()
+    out = []
     for rel in sorted(path.replace(os.sep, "/") for path in files):
         with open(os.path.join(src, rel), "rb") as fh:
-            data = fh.read()
+            out.append((rel, fh.read()))
+    return out
+
+
+def src_sha256(tree: str) -> str:
+    """SHA-256 over :func:`src_files`: each path, its length in bytes and
+    its bytes."""
+    digest = hashlib.sha256()
+    for rel, data in src_files(tree):
         digest.update(f"{rel}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def src_lines(tree: str) -> int:
+    """Newlines in :func:`src_files`, the total ``wc -l`` prints for them."""
+    return sum(data.count(b"\n") for _, data in src_files(tree))
 
 
 def run_once(tree: str) -> dict:
@@ -113,6 +126,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     hashes = {side: src_sha256(tree) for side, tree in trees.items()}
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
     runs = []
     for pair in range(PAIRS):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
@@ -127,6 +141,7 @@ def main(argv=None) -> int:
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"label": args.label, "benchmark": spec, "src_sha256": hashes,
+                   "src_lines": lines,
                    "order": [[run["pair"], run["side"]] for run in runs],
                    "summary": summary(runs), "runs": runs}, fh, indent=1)
         fh.write("\n")
