@@ -5,7 +5,7 @@ It is held as its edge list, 16 bytes per edge: totals, modularity, the
 cluster summary graph and the drawings are sums over edges. A sum per
 cluster or per cluster pair is a ``bincount`` over the edges' cluster ids,
 O(m + k) for m edges and k clusters. Only the clusterings see an n x n
-array, the dense Laplacian, built on first use.
+array, the dense Laplacian, built anew by each call to ``laplacian()``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -40,10 +39,10 @@ class WeightedGraph:
     of the edge between vertices ``i`` and ``j`` (0 means no edge), exactly
     symmetric with a zero diagonal. The graph keeps only its edges, as the
     read-only arrays ``edge_arrays = (i, j, w)``: int32 vertex indices with
-    ``i < j`` in row-major order and their positive float64 weights. The
-    dense Laplacian is built on the first call to :meth:`laplacian` and kept;
-    :attr:`weights` rebuilds W on demand. The caller's W is not kept,
-    changed or frozen, and nothing changes a graph after construction.
+    ``i < j`` in row-major order and their positive float64 weights; it
+    holds no n x n array. :meth:`laplacian` and :attr:`weights` build theirs
+    from the edges on every call. The caller's W is not kept, changed or
+    frozen, and nothing changes a graph after construction.
     """
 
     def __init__(self, labels: Sequence[str], weights: np.ndarray):
@@ -97,8 +96,12 @@ class WeightedGraph:
         full.setflags(write=False)
         return full
 
-    @cached_property
-    def _laplacian(self) -> np.ndarray:
+    def laplacian(self) -> np.ndarray:
+        """Graph Laplacian: degrees on the diagonal, negated weights elsewhere.
+
+        Built from the edges on every call, as a new read-only n x n array
+        that the graph does not keep.
+        """
         # W negated in place, so a non-edge holds -0.0; its row sums
         # subtracted from +0.0 keep an isolated vertex's degree +0.0
         lap = self.weights
@@ -107,13 +110,6 @@ class WeightedGraph:
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
         lap.setflags(write=False)
         return lap
-
-    def laplacian(self) -> np.ndarray:
-        """Graph Laplacian: degrees on the diagonal, negated weights elsewhere.
-
-        Built on the first call; every call returns that read-only array.
-        """
-        return self._laplacian
 
 
 @dataclass(frozen=True, eq=False)

@@ -359,6 +359,12 @@ def run_cluster(config: RunConfig) -> dict:
     # one feature map, spectral or heat kernel (the methods that take a
     # beta), then one engine, k-means or the map
     try:
+        # OpenBLAS maps a 32 MB work buffer at its first level-3 call and
+        # ends the process with status 1 if it cannot. Reserving more than
+        # that, then freeing it for a small product that takes the buffer
+        # before any n x n array, makes running out of it a MemoryError
+        np.empty(40 << 20, dtype=np.uint8)
+        np.ones((256, 256)) @ np.ones((256, 256))
         if cfg["beta"] is None:
             features = spectral_embedding(g.laplacian(), cfg["p"])
         else:

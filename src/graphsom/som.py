@@ -185,23 +185,14 @@ def _smoothed_bmu(dist2: np.ndarray, hn: np.ndarray) -> np.ndarray:
     return np.argmin(dist2 @ hn.T, axis=1)
 
 
-def _unit_mass(influence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each unit's update denominator, and whether it reaches the floor."""
-    denom = influence.sum(axis=0)
-    return denom, denom >= _DEAD_UNIT_FLOOR
+def _update_gamma(gamma: np.ndarray, scaled: np.ndarray, bmu: np.ndarray,
+                  alive: np.ndarray) -> None:
+    """Batch update in place: each live unit's gamma row becomes its column
+    of the influence ``scaled[bmu]``, already divided by the unit's mass.
 
-
-def _update_gamma(gamma: np.ndarray, influence: np.ndarray) -> np.ndarray:
-    """Batch update: gamma row m becomes the normalized influence column m.
-
-    Units no vertex influences (denominator below the floor) keep their row.
+    Units no vertex influences (mass below the floor) keep their row.
     """
-    denom, alive = _unit_mass(influence)
-    out = gamma.copy()
-    weights = influence[:, alive]
-    weights /= denom[alive]
-    out[alive] = weights.T
-    return out
+    gamma[alive] = scaled[bmu].T
 
 
 def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
@@ -232,12 +223,14 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
         hn = grid.normalized_neighborhood(sigma)
         bmu, before = _smoothed_bmu(dist2, hn), bmu
         influence = hn[bmu]
-        gamma = _update_gamma(gamma, influence)
+        denom = influence.sum(axis=0)
+        alive = denom >= _DEAD_UNIT_FLOOR
+        # divided before the products, so a unit whose gamma row copies
+        # another's gets a bit-equal row of inner products too
+        scaled = hn[:, alive] / denom[alive]
+        _update_gamma(gamma, scaled, bmu, alive)
         sums = space.unit_sums(bmu, units, sums, before)
-        # divided before the product, as gamma's rows are, so a unit whose
-        # gamma row copies another's gets a bit-equal row here too
-        denom, alive = _unit_mass(influence)
-        cross[alive] = space.inner((hn[:, alive] / denom[alive]).T @ sums)
+        cross[alive] = space.inner(scaled.T @ sums)
         dist2 = space.dist2(gamma, cross)
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))

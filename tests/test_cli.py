@@ -258,6 +258,49 @@ class TestOutOfRangeValues:
         assert sorted(os.listdir(tmp_path)) == ["graph.tsv", "p.json"]
         assert out.read_bytes() == b"an earlier partition\n"
 
+    def test_address_space_cap_exits_0_or_2(self, tmp_path):
+        # OpenBLAS maps a work buffer at its first level-3 call and ends the
+        # process with status 1 if it cannot. Taken inside the eigensolve,
+        # after the n x n arrays, it fails on this 600-vertex graph at caps
+        # 16 to 46 MB above start-up; the sweep runs from start-up to past
+        # the command's needs, with one BLAS thread.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/status"):
+            pytest.skip("needs RLIMIT_AS and /proc/self/status")
+        rng = np.random.default_rng(0)
+        n = 600
+        lines = [f"v{i}\tv{(i + 1) % n}\t1.0" for i in range(n)]
+        lines += [f"v{i}\tv{j}\t{w:.3f}" for i, j, w in
+                  zip(rng.integers(n, size=3 * n), rng.integers(n, size=3 * n),
+                      rng.uniform(0.1, 5.0, 3 * n)) if i != j]
+        (tmp_path / "g.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = package_env(OPENBLAS_NUM_THREADS="1")
+        startup = subprocess.run(
+            [sys.executable, "-c", "import re, graphsom.cli; print(re.search("
+             "r'VmPeak:\\s+(\\d+) kB', open('/proc/self/status').read())[1])"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        base = int(startup.stdout) * 1024
+        out = tmp_path / "p.json"
+        codes = []
+        for extra in range(4, 65, 6):
+            cap = base + (extra << 20)
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphsom.cli", "cluster", "--input",
+                 str(tmp_path / "g.tsv"), "--method", "kernel-kmeans", "--k", "4",
+                 "--beta", "0.1", "--seed", "0", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+            codes.append(proc.returncode)
+            if proc.returncode == 0:
+                assert out.exists()
+                out.unlink()
+            else:
+                assert proc.returncode == 2, (extra, proc.stderr)
+                assert proc.stderr.startswith("graphsom: out of memory")
+                assert proc.stderr.count("\n") == 1
+            assert sorted(os.listdir(tmp_path)) == ["g.tsv"]
+        assert 2 in codes
+
     @pytest.mark.parametrize("knobs, name", [
         (["--k", "0"], "k"), (["--k", "9"], "k"),
         (["--k", "2", "--p", "0"], "p"), (["--k", "2", "--p", "9"], "p")])

@@ -47,7 +47,12 @@ def reference_train(space, grid, epochs, radius, seed):
         sigma = som_module._sigma_at(epoch, epochs, start, end)
         hn = grid.normalized_neighborhood(sigma)
         influence = hn[som_module._smoothed_bmu(dist2, hn)]
-        gamma = som_module._update_gamma(gamma, influence)
+        # gamma row m becomes the normalized influence column m; a unit
+        # whose mass is below the floor keeps its row
+        denom = influence.sum(axis=0)
+        alive = denom >= som_module._DEAD_UNIT_FLOOR
+        gamma = gamma.copy()
+        gamma[alive] = (influence[:, alive] / denom[alive]).T
         dist2 = space.dist2(gamma, space.cross(gamma))
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, som_module._smoothed_bmu(dist2, hn),
@@ -129,10 +134,13 @@ class TestDeadUnits:
         recorded = []
         original = som_module._update_gamma
 
-        def spy(gamma, influence):
-            out = original(gamma, influence)
-            recorded.append((gamma, influence, out))
-            return out
+        # every epoch has the one neighbourhood of sigma 0.05
+        hn = self.GRID.normalized_neighborhood(0.05)
+
+        def spy(gamma, scaled, bmu, alive):
+            before = gamma.copy()
+            original(gamma, scaled, bmu, alive)
+            recorded.append((before, hn[bmu], gamma.copy()))
 
         monkeypatch.setattr(som_module, "_update_gamma", spy)
         with warnings.catch_warnings():
@@ -276,10 +284,9 @@ class TestBatchKernelSom:
         recorded = []
         original = som_module._update_gamma
 
-        def spy(gamma, influence):
-            out = original(gamma, influence)
-            recorded.append(out.copy())
-            return out
+        def spy(gamma, *args):
+            original(gamma, *args)
+            recorded.append(gamma.copy())
 
         monkeypatch.setattr(som_module, "_update_gamma", spy)
         rng = np.random.default_rng(6)

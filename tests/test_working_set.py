@@ -11,10 +11,12 @@ is aliased, frozen or changed, and every result keeps its bits.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import graphsom.pipeline as pipeline
 from graphsom import Partition, load_edge_list, summary_graph
 from graphsom.cluster import q_modularity
 from graphsom.layout import _anneal
@@ -106,8 +108,11 @@ class TestTracedPeak:
 
     # Measured at n=300: a graph with its edge totals in hand holds 0.08
     # arrays, its 16 bytes an edge and its labels (1.0 when it held L, 2.0
-    # when it kept W and built L per call), and its Laplacian adds one
-    # array, built once. The report on a graph built inside the call peaks at 0.25, from
+    # when it kept W and built L per call), and each call to laplacian()
+    # returns one new array, which the graph does not keep (it kept the
+    # first one, and later calls allocated nothing). Building it peaks at
+    # 1.05 arrays, with the edges' indices converted for the scatter into
+    # W. The report on a graph built inside the call peaks at 0.25, from
     # checking the caller's W (2.1 when it held L and summed clusters over
     # W).
     def test_graph_holds_its_edges_and_one_laplacian(self):
@@ -125,12 +130,16 @@ class TestTracedPeak:
         g = graph()
         held, _ = traced(g.laplacian)
         assert 1.0 <= held / (8.0 * N * N) <= 1.05
+        lap = g.laplacian()
+        again = g.laplacian()
+        assert again is not lap and not np.shares_memory(again, lap)
+        assert again.tobytes() == lap.tobytes()
 
-    def test_laplacian_allocates_nothing(self):
+    def test_laplacian_is_not_kept(self):
         g = graph()
-        # built by the first call, then kept
-        assert g.laplacian() is g.laplacian()
-        assert peak_arrays(g.laplacian) <= 0.01
+        held, peak = traced(lambda: g.laplacian().size)
+        assert held / (8.0 * N * N) <= 0.01
+        assert peak / (8.0 * N * N) <= 1.1
 
     def test_report_on_a_new_graph(self):
         w = weights()
@@ -239,6 +248,30 @@ def test_command_holds_no_dense_array(command_inputs, command):
     parsing = peak_arrays(lambda: load_edge_list(command_inputs["graph"]))
     assert parsing <= 0.7
     assert peak_arrays(command_calls(command_inputs)[command]) <= parsing + 0.1
+
+
+@pytest.mark.parametrize("method, knobs, feature_map, engine", [
+    ("spectral", {"k": 7}, "spectral_embedding", "kmeans"),
+    ("kernel-som", {"grid": (3, 3), "epochs": 5}, "heat_kernel", "batch_som"),
+], ids=["spectral", "kernel-som"])
+def test_no_laplacian_outlives_its_feature_map(command_inputs, tmp_path, monkeypatch,
+                                               method, knobs, feature_map, engine):
+    laplacians, alive_at_engine = [], []
+
+    def mapped(lap, *args):
+        laplacians.append(weakref.ref(lap))
+        return real_map(lap, *args)
+
+    def engine_spy(*args):
+        alive_at_engine.extend(ref() is not None for ref in laplacians)
+        return real_engine(*args)
+
+    real_map, real_engine = getattr(pipeline, feature_map), getattr(pipeline, engine)
+    monkeypatch.setattr(pipeline, feature_map, mapped)
+    monkeypatch.setattr(pipeline, engine, engine_spy)
+    run_cluster(RunConfig(input=command_inputs["graph"], method=method, seed=0,
+                          out=tmp_path / "p.json", **knobs))
+    assert alive_at_engine == [False]
 
 
 class TestCallerArrays:
