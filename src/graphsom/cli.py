@@ -1,7 +1,7 @@
 """Command-line front end: cluster, attrs, layout, stats.
 
 Exit codes, set by the error's type: 0 success, 1 write failure or internal
-error, 2 usage or validation error, 3 bad input file, 4 numerical failure.
+error, 2 usage error or out of memory, 3 bad input file, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, NumericalError, OSError) as exc:
         print(f"graphsom: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
+    except MemoryError as exc:
+        print(f"graphsom: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -133,17 +133,6 @@ def _check_kmeans(k: int, n: int, restarts: int) -> None:
         raise UsageError(f"restarts must be >= 1, got {restarts}")
 
 
-def _best_lloyd(space: _FeatureSpace, k: int, seed: int, restarts: int):
-    """Minimum-energy restart; earlier restarts win ties."""
-    _check_kmeans(k, space.n, restarts)
-    best = None
-    for rng in _spawned_rngs(seed, restarts):
-        run = _lloyd(space, k, rng)
-        if best is None or run[1][-1] < best[1][-1]:
-            best = run
-    return best
-
-
 def kmeans(points, k: int, seed: int,
            restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
     """Best-of-restarts Lloyd k-means with probabilistic far-point seeding.
@@ -151,13 +140,18 @@ def kmeans(points, k: int, seed: int,
     ``points`` is an n x p array of coordinates or a :class:`KernelMatrix`,
     whose cluster means stay implicit (uniform coefficients over members)
     and whose squared distances come from the kernel expansion, clamped at 0.
-    Each restart seeds centers k-means++ style, then alternates assignment
-    (ties to the lowest center index, empty clusters repaired by seizing the
-    farthest point from a donor of size >= 2) and mean updates until the
-    assignment stops changing or 300 iterations pass. The minimum-energy
-    restart wins; earlier restarts win ties.
+    The points are validated first, then k and restarts. Each restart seeds
+    centers k-means++ style, then alternates assignment (ties to the lowest
+    center index, empty clusters repaired by seizing the farthest point from
+    a donor of size >= 2) and mean updates until the assignment stops
+    changing or 300 iterations pass. The minimum-energy restart wins;
+    earlier restarts win ties.
     """
-    assign, trace = _best_lloyd(_FeatureSpace(points), k, seed, restarts)
+    space = _FeatureSpace(points)
+    _check_kmeans(k, space.n, restarts)
+    # min keeps the first of equal energies: earlier restarts win ties
+    runs = (_lloyd(space, k, rng) for rng in _spawned_rngs(seed, restarts))
+    assign, trace = min(runs, key=lambda run: run[1][-1])
     return KMeansResult(Partition(assign, k), float(trace[-1]), trace,
                         int(trace.size))
 

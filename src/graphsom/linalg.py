@@ -93,30 +93,17 @@ def eigendecompose_symmetric(m) -> EigenDecomposition:
 class KernelMatrix:
     """Symmetric similarity matrix, read-only.
 
-    Positive semi-definiteness is a property of how the matrix was built (exact
-    for heat kernels, near-exact for Gram matrices) and is not checked.
+    ``matrix`` is a float64 copy of the input, so the caller's memory is never
+    frozen or aliased. Positive semi-definiteness is a property of how the
+    matrix was built (exact for heat kernels, near-exact for Gram matrices)
+    and is not checked.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        src = self.matrix
-        a = _checked_symmetric(src, "kernel matrix")
-        # a list or tuple always converts into fresh memory; an array or other
-        # buffer may come back as is, and the caller's memory is never frozen
-        # or aliased
-        if not isinstance(src, (list, tuple)) and np.may_share_memory(a, src):
-            a = a.copy()
-        self._settle(a)
-
-    @classmethod
-    def _adopt(cls, matrix: np.ndarray) -> KernelMatrix:
-        """A kernel that takes over ``matrix``, a new array no caller holds."""
-        kern = cls.__new__(cls)
-        kern._settle(_checked_symmetric(matrix, "kernel matrix"))
-        return kern
-
-    def _settle(self, a: np.ndarray) -> None:
+        a = _checked_symmetric(np.array(self.matrix, dtype=np.float64),
+                               "kernel matrix")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -220,18 +207,19 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
 
     Computed through the full eigendecomposition, which validates L, as
     S S^T with S = V exp(-beta Lambda / 2), which numpy returns exactly
-    symmetric. At beta = 0 the kernel is the identity and no eigensolve runs.
-    A beta that zeroes every mode above L's null space raises UsageError.
-    Because L annihilates the constant vector, every row of the result sums
-    to 1; because the exponentiated spectrum is positive, the result is
-    positive semi-definite by construction.
+    symmetric and the kernel copies once V is dropped. At beta = 0 the
+    kernel is the identity and no eigensolve runs. A beta that zeroes every
+    mode above L's null space raises UsageError. Because L annihilates the
+    constant vector, every row of the result sums to 1; because the
+    exponentiated spectrum is positive, the result is positive semi-definite
+    by construction.
     """
     b = float(beta)
     if not np.isfinite(b) or b < 0:
         raise UsageError(f"beta must be a finite nonnegative real, got {beta!r}")
     if b == 0.0:
         lap = _checked_symmetric(laplacian, "laplacian")
-        return KernelMatrix._adopt(np.eye(lap.shape[0]))
+        return KernelMatrix(np.eye(lap.shape[0]))
     decomp = eigendecompose_symmetric(laplacian)
     lam = decomp.eigenvalues
     with np.errstate(over="ignore"):
@@ -246,7 +234,10 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
     # the column signs fixed by the eigensolve cancel in S S^T
     s = decomp.eigenvectors
     s *= np.exp(-b * lam / 2.0)
-    return KernelMatrix._adopt(s @ s.T)
+    k = s @ s.T
+    # drop V first, so the kernel's copy of K does not raise the peak
+    del decomp, s
+    return KernelMatrix(k)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:

@@ -34,7 +34,8 @@ def _escape(text: str) -> str:
 
 def _shade(value: float, vmax: float) -> str:
     """Grayscale fill for a u-matrix pixel: white at 0, dark at the max."""
-    level = 255 if vmax <= 0 else 255 - int(round(200.0 * value / vmax))
+    # divided first: 200 * value overflows for a value above about 9e305
+    level = 255 if vmax <= 0 else 255 - int(round(200.0 * (value / vmax)))
     return f"#{level:02x}{level:02x}{level:02x}"
 
 

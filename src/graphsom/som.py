@@ -195,9 +195,26 @@ def _update_gamma(gamma: np.ndarray, scaled: np.ndarray, bmu: np.ndarray,
     gamma[alive] = scaled[bmu].T
 
 
-def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
-           seed: int) -> SomModel:
-    """Shared batch-SOM loop over either view of the vertices.
+def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
+                     radius: tuple[float, float] | None = None,
+                     seed: int = 0) -> SomModel:
+    """:func:`batch_som` on ``kernel`` read as a kernel matrix, even when it
+    is a bare array; on a Gram matrix it draws as batch_som does, away from
+    exact ties between units."""
+    kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
+    return batch_som(kern, grid, epochs, radius, seed)
+
+
+def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
+              radius: tuple[float, float] | None = None,
+              seed: int = 0) -> SomModel:
+    """Batch SOM on an n x p array of coordinates or a :class:`KernelMatrix`.
+
+    Each epoch: smoothed best-matching units under the current neighborhood,
+    then the closed-form batch update of every prototype's convex weights,
+    with the neighborhood radius moving linearly from radius[0] to radius[1].
+    The energy trace records the extended distortion after each epoch, and
+    the model carries the u-matrix of the trained map.
 
     After an update, live prototype m is gamma[m] = sum_u hn[u, m] b_u /
     denom[m], where b_u is the indicator of the vertices whose unit is u, so
@@ -206,6 +223,7 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
     of the vertices that changed unit, so an epoch costs O(M^2 n) plus one
     row per moved vertex instead of the O(M n^2) of gamma Phi Phi^T.
     """
+    space = _FeatureSpace(points)
     start, end = _check_schedule(grid, epochs, radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     units = grid.num_units
@@ -235,29 +253,6 @@ def _train(space: _FeatureSpace, grid: SomGrid, epochs: int, radius,
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))
     return replace(model, umatrix=u_matrix(model, space))
-
-
-def batch_kernel_som(kernel, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
-                     radius: tuple[float, float] | None = None,
-                     seed: int = 0) -> SomModel:
-    """:func:`batch_som` on ``kernel`` read as a kernel matrix, even when it
-    is a bare array; on a Gram matrix it draws as batch_som does, away from
-    exact ties between units."""
-    kern = kernel if isinstance(kernel, KernelMatrix) else KernelMatrix(kernel)
-    return batch_som(kern, grid, epochs, radius, seed)
-
-
-def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
-              radius: tuple[float, float] | None = None,
-              seed: int = 0) -> SomModel:
-    """Batch SOM on an n x p array of coordinates or a :class:`KernelMatrix`.
-
-    Each epoch: smoothed best-matching units under the current neighborhood,
-    then the closed-form batch update of every prototype's convex weights,
-    with the neighborhood radius moving linearly from radius[0] to radius[1].
-    The energy trace records the extended distortion after each epoch.
-    """
-    return _train(_FeatureSpace(points), grid, epochs, radius, seed)
 
 
 def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,26 @@ class TestOutOfRangeValues:
             "cluster needs about 35 MB\n")
         assert sorted(os.listdir(tmp_path)) == ["graph.tsv", "p.json"]
         assert out.read_bytes() == b"an earlier partition\n"
+
+    def test_layout_out_of_memory_exits_2_and_keeps_the_svg(
+            self, tmp_path, graph_file, capsys, monkeypatch):
+        doc = tmp_path / "p.json"
+        assert cluster_spectral(graph_file, doc) == 0
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate the pair terms")
+
+        monkeypatch.setattr("graphsom.layout._Repulsion", no_memory)
+        svg = tmp_path / "x.svg"
+        svg.write_bytes(b"an earlier drawing\n")
+        code = main(["layout", "--mode", "summary", "--input", graph_file,
+                     "--partition", str(doc), "--svg", str(svg),
+                     "--dot", str(tmp_path / "x.dot"), "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "graphsom: out of memory: Unable to allocate the pair terms\n")
+        assert sorted(os.listdir(tmp_path)) == ["graph.tsv", "p.json", "x.svg"]
+        assert svg.read_bytes() == b"an earlier drawing\n"
 
     def test_address_space_cap_exits_0_or_2(self, tmp_path):
         # OpenBLAS maps a work buffer at its first level-3 call and ends the
@@ -576,6 +597,22 @@ def test_internal_error_is_not_a_usage_error(tmp_path, graph_file,
     with pytest.raises(ValueError, match="internal invariant"):
         cluster_spectral(graph_file, tmp_path / "p.json", tmp_path / "r.json")
     assert sorted(os.listdir(tmp_path)) == ["graph.tsv"]
+
+
+@pytest.mark.parametrize("values", [[9e305, 4.5e305], [1e306, 5e305]])
+def test_map_of_a_huge_umatrix_draws(tmp_path, values):
+    # shading divides by the largest value before it scales, so no value
+    # a document may hold overflows on its way to a gray level
+    graph = _write(tmp_path / "g.tsv", "a\tb\t1\nb\tc\t1\nc\td\t1\nd\ta\t1\n")
+    assert main(_cluster_on(graph, tmp_path, "--method", "kernel-som",
+                            "--grid", "1x2")) == 0
+    doc = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+    doc["model"]["umatrix"] = [values]
+    model = _write(tmp_path / "p.json", json.dumps(doc))
+    svg = tmp_path / "x.svg"
+    assert main(["layout", "--mode", "map", "--input", graph, "--model", model,
+                 "--svg", str(svg), "--seed", "0"]) == 0
+    assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 class TestEdgeListLabels:

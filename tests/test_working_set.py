@@ -19,7 +19,7 @@ import pytest
 import graphsom.pipeline as pipeline
 from graphsom import Partition, load_edge_list, summary_graph
 from graphsom.cluster import q_modularity
-from graphsom.layout import _anneal
+from graphsom.layout import Rect, _anneal, force_directed_layout
 from graphsom.linalg import KernelMatrix, eigendecompose_symmetric, heat_kernel
 from graphsom.pipeline import RunConfig, report_document, run_cluster, run_layout, \
     run_stats
@@ -187,6 +187,18 @@ class TestTracedPeak:
                   norm_weights=np.zeros(0), iterations=20, k=5.0, lo=lo,
                   hi=hi, temp0=1.0, repulsion_groups=[np.arange(m)])
         assert peak_arrays(lambda: _anneal(**kw), m) <= 4.58
+
+    # Measured at k=600 singleton clusters of a path: the summary layout
+    # keeps the (2, k, k) pair terms of its one group of every cluster and a
+    # work buffer of the same size, 32 bytes a pair, and peaks at 32.8 k^2
+    # bytes with the per-cluster arrays (36.8 at k=200, where those weigh
+    # more). README "Memory" quotes the 32 k^2.
+    def test_summary_layout_holds_two_pair_buffers(self):
+        k = 600
+        sg = summary_graph(path_graph(k), Partition(np.arange(k), k))
+        _, peak = traced(lambda: force_directed_layout(
+            sg, 2, Rect(0.0, 0.0, 800.0, 800.0), 0))
+        assert 32 * k * k <= peak <= 34 * k * k
 
     # Measured at m=200 in groups of 16, a quarter of the points free: the
     # small groups' pair list holds its receivers and senders, their terms
