@@ -69,7 +69,7 @@ def main():
     (out / "summary.svg").write_bytes(render_svg(scene))
 
     map_scene = som_map_scene(model, sg)
-    shading = model.umatrix.upsampled(8)
+    shading = model.umatrix.upsampled()
     (out / "map.svg").write_bytes(render_svg(map_scene, umatrix=shading))
     (out / "map.dot").write_bytes(export_dot(sg, map_scene))
 

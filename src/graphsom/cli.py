@@ -141,8 +141,11 @@ def _dispatch(args: argparse.Namespace) -> None:
                    dot_path=args.dot, iterations=args.iterations,
                    seed=args.seed)
     else:
-        doc = run_stats(args.input, args.partition)
-        sys.stdout.write(document_bytes(doc).decode("utf-8"))
+        text = document_bytes(run_stats(args.input, args.partition)).decode("utf-8")
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise OSError(f"cannot write the report to standard output: {exc}") from None
 
 
 def main(argv=None) -> int:

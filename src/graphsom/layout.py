@@ -73,15 +73,6 @@ class Rect:
     def diagonal(self) -> float:
         return float(np.hypot(self.width, self.height))
 
-    def shrunk(self, fraction: float) -> "Rect":
-        """Inner rectangle with a margin of ``fraction`` of each side length."""
-        if not 0 <= fraction < 0.5:
-            raise ValueError("margin fraction must lie in [0, 0.5)")
-        mx = self.width * fraction
-        my = self.height * fraction
-        return Rect(self.x + mx, self.y + my,
-                    self.width - 2.0 * mx, self.height - 2.0 * my)
-
 
 @dataclass(frozen=True, eq=False)
 class LayoutScene:
@@ -214,13 +205,6 @@ def _pair_terms(d, k, inf_at, work):
     d[1] *= f
 
 
-# A lone block is recomputed whole once its moved points' rows and columns
-# would cover more than this share of its terms, so a step that moves every
-# point costs one pass. On the n=615 landmark drawing 1/3, 1/2 and 1 ran
-# within noise of each other; at 1/2 the moved rows fill a quarter block
-_PARTIAL_MAX_SHARE = 0.5
-
-
 class _Repulsion:
     """The anneal's repulsion sums, brought up to date step by step.
 
@@ -234,11 +218,12 @@ class _Repulsion:
     which the anneal's own bincount from +0 absorbs.
 
     A large group is a (2, m, m) block, ``[:, j, i]`` the push of sender j
-    on receiver i, that keeps its terms across steps, recomputes only the
-    sender rows and receiver columns of the moved points and re-sums over its
-    senders in order. A term depends on its two points alone, and a column
-    term is exactly the negated row term (``0 - t`` keeps a zero +0), so the
-    sums have the bits of a full pass.
+    on receiver i, that keeps its terms across steps. When at most half its
+    points moved, it recomputes only the sender rows and receiver columns of
+    the moved points and re-sums over its senders in order; otherwise it
+    recomputes the whole block. A term depends on its two points alone, and
+    a column term is exactly the negated row term (``0 - t`` keeps a zero
+    +0), so the sums have the bits of a full pass.
     """
 
     def __init__(self, xy, k, small, large):
@@ -251,7 +236,7 @@ class _Repulsion:
             for f, m in zip(starts, small))], axis=1)
         self.terms = np.empty((2, self.recv.size))
         # a full pass's distance work, one buffer, not a fresh mmap per step;
-        # a partial pass's rows, a quarter of a block at most, fit in it too
+        # a partial pass's rows, half a block at most, fit in it too
         self.scratch = np.empty(2 * max(self.terms.shape[1],
                                         max(large, default=0) ** 2))
         self.lone = []
@@ -259,7 +244,7 @@ class _Repulsion:
             # views in tuples and plain ints: on a summary drawing's block of
             # 50, numpy scalars and unpacking cost a fifth of the full pass
             s = slice(start, start + m)
-            self.lone.append((s, m, _PARTIAL_MAX_SHARE * m / 2, self.sums[:, s],
+            self.lone.append((s, m, self.sums[:, s],
                               np.zeros((2, m, m)), np.arange(m) * (m + 1),
                               self.scratch[:2 * m * m].reshape(2, m, m)))
 
@@ -275,9 +260,9 @@ class _Repulsion:
             _pair_terms(d, self.k, (), work)
             for terms, total in zip(d, self.sums[:, :self.members]):
                 total[:] = np.bincount(self.recv, terms, self.members)
-        for s, m, limit, sums, terms, inf_at, work in self.lone:
+        for s, m, sums, terms, inf_at, work in self.lone:
             count = np.count_nonzero(moved[s])
-            if count > limit:
+            if 2 * count > m:
                 np.subtract(xy[:, None, s], xy[:, s, None], out=terms)
                 _pair_terms(terms, self.k, inf_at, work)
                 terms.sum(axis=1, out=sums)
@@ -462,7 +447,9 @@ def constrained_full_layout(g: WeightedGraph, model: SomModel,
             f"graph has {g.num_vertices}")
     unit_of = model.assignment
     frame, cells = _grid_frame_and_cells(model.grid)
-    inner = np.array([astuple(cell.shrunk(_CELL_MARGIN)) for cell in cells])
+    # every cell is CELL_SIDE square: move its corner in and take 2 margins off
+    inset = CELL_SIDE * _CELL_MARGIN * np.array([1.0, 1.0, -2.0, -2.0])
+    inner = np.array([astuple(cell) for cell in cells]) + inset
     i, j, weights = g.edge_arrays
     edges = np.stack((i, j), axis=1)
     groups = [np.flatnonzero(unit_of == u) for u in range(len(cells))]

@@ -10,7 +10,6 @@ distance primitives, so each algorithm has a single implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -111,11 +110,9 @@ class KernelMatrix:
     def order(self) -> int:
         return int(self.matrix.shape[0])
 
-    @cached_property
+    @property
     def diagonal(self) -> np.ndarray:
-        d = np.diagonal(self.matrix).copy()
-        d.setflags(write=False)
-        return d
+        return np.diagonal(self.matrix)  # a read-only view
 
 
 def _one_hot(units: int, index: np.ndarray) -> np.ndarray:
@@ -146,7 +143,7 @@ class _FeatureSpace:
             self.sq_norms = data.diagonal
             self.what = f"kernel order {data.order}"
         else:
-            pts = np.array(data, dtype=np.float64)
+            pts = np.asarray(data, dtype=np.float64)  # read, never written
             if pts.ndim != 2 or pts.shape[0] == 0:
                 raise ValueError(
                     f"points must be a nonempty n x p array, got shape {pts.shape}")

@@ -132,6 +132,13 @@ def _refuse_shared_target(*paths) -> None:
         seen[real] = path
 
 
+def _refuse_unrecordable(*paths) -> None:
+    """Refuse a path that is not valid UTF-8, which a report cannot record."""
+    for path in paths:
+        if any("\ud800" <= c <= "\udfff" for c in str(path)):  # surrogate escapes
+            raise UsageError(f"path {path!r} is not valid UTF-8; a report cannot hold it")
+
+
 def _write_outputs(outputs: list[tuple[object, bytes]]) -> None:
     """Write every ``(path, data)`` pair of one command, or none of them.
 
@@ -189,12 +196,18 @@ def _finite_number(literal: str) -> float:
 
 
 def read_document(path) -> dict:
-    """Read a strict JSON document file, mapping malformed content to ParseError."""
+    """Read a strict JSON document file; any JSON it cannot use is a ParseError."""
     text = read_text(path)
     try:
         doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        if "\\u" in text:  # only an escape spells a lone surrogate in UTF-8 text
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # depth, digit limit, lone surrogate
+        raise ParseError(f"JSON that Python cannot hold: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be a JSON object")
     return doc
@@ -347,6 +360,8 @@ def run_cluster(config: RunConfig) -> dict:
     were written.
     """
     _refuse_shared_target(config.out, config.report)
+    if config.report is not None:
+        _refuse_unrecordable(config.input, config.out, config.report)
     cfg = config.resolved()
     g = load_edge_list(config.input)
     seed = config.seed
@@ -574,8 +589,9 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         if model is None:
             raise UsageError("document holds no trained map; "
                              "pass a partition produced by a som method")
-        units = dict(zip(doc["assignment"], model.assignment))
-        model = replace(model, assignment=[units[label] for label in g.labels])
+        # cluster c is the c-th nonempty unit; np.unique would import numpy.ma
+        units = np.flatnonzero(model.unit_counts())
+        model = replace(model, assignment=units[part.assignment])
         if mode == "full":
             dot_subject = g
             scene = constrained_full_layout(g, model, iterations, seed)
@@ -585,7 +601,7 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         else:
             dot_subject = summary_graph(g, som_partition(model))
             scene = som_map_scene(model, dot_subject)
-            umatrix = model.umatrix.upsampled(8)
+            umatrix = model.umatrix.upsampled()
 
     outputs = [(svg_path, render_svg(scene, umatrix=umatrix))]
     if dot_path is not None:
@@ -596,6 +612,7 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
 
 def run_stats(input_path, partition_path) -> dict:
     """Report document for a stored partition against its graph."""
+    _refuse_unrecordable(input_path, partition_path)
     g = load_edge_list(input_path)
     doc = load_partition_document(partition_path)
     part = partition_for_graph(doc, g)

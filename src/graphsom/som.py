@@ -22,7 +22,7 @@ sizable fraction of random inputs. On a 1x2 grid all these rules coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -251,8 +251,8 @@ def batch_som(points, grid: SomGrid, epochs: int = DEFAULT_EPOCHS,
         cross[alive] = space.inner(scaled.T @ sums)
         dist2 = space.dist2(gamma, cross)
         trace.append(float((influence * dist2).sum()))
-    model = SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace))
-    return replace(model, umatrix=u_matrix(model, space))
+    return SomModel(grid, gamma, _smoothed_bmu(dist2, hn), np.array(trace),
+                    _umatrix(grid, space, gamma))
 
 
 def spectral_som(g: WeightedGraph, p: int, grid: SomGrid,
@@ -282,17 +282,15 @@ class UMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def upsampled(self, factor: int = 8) -> np.ndarray:
-        """Bilinear enlargement by an integer factor, for smooth rendering.
+    def upsampled(self) -> np.ndarray:
+        """Bilinear enlargement by 8 along each axis, for smooth rendering.
 
         Sample centers follow the usual pixel convention (source position
-        (i + 0.5) / factor - 0.5), clamped at the borders.
+        (i + 0.5) / 8 - 0.5), clamped at the borders.
         """
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
         out = self.values
         for axis, size in enumerate(out.shape):
-            coords = (np.arange(size * factor) + 0.5) / factor - 0.5
+            coords = (np.arange(size * 8) + 0.5) / 8 - 0.5
             coords = np.clip(coords, 0.0, size - 1.0)
             lo = np.floor(coords).astype(np.int64)
             hi = np.minimum(lo + 1, size - 1)
@@ -304,14 +302,16 @@ class UMatrix:
         return out
 
 
-def _prototype_distances(space: _FeatureSpace, gamma: np.ndarray) -> np.ndarray:
-    """Exactly symmetric M x M feature-space distances between prototypes."""
+def _umatrix(grid: SomGrid, space: _FeatureSpace, gamma: np.ndarray) -> UMatrix:
+    """:func:`u_matrix` of ``gamma``, through exactly symmetric distances."""
     gram = space.cross(gamma) @ gamma.T
     gram = (gram + gram.T) / 2.0
     sq = np.diagonal(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    dist = np.sqrt(np.maximum(d2, 0.0, out=d2))
+    values = [np.mean(dist[m, nbrs]) if (nbrs := grid.grid_neighbors(m)) else 0.0
+              for m in range(grid.num_units)]
+    return UMatrix(np.reshape(values, (grid.rows, grid.cols)))
 
 
 def u_matrix(model: SomModel, data) -> UMatrix:
@@ -324,16 +324,11 @@ def u_matrix(model: SomModel, data) -> UMatrix:
     """
     if model.gamma is None:
         raise ValueError("a model read from a document has no gamma; use model.umatrix")
-    space = data if isinstance(data, _FeatureSpace) else _FeatureSpace(data)
+    space = _FeatureSpace(data)
     if space.n != model.num_vertices:
         raise ValueError(f"{space.what} does not match the model's "
                          f"{model.num_vertices} vertices")
-    grid, dist = model.grid, _prototype_distances(space, model.gamma)
-    values = np.zeros(grid.num_units)
-    for m in range(grid.num_units):
-        nbrs = grid.grid_neighbors(m)
-        values[m] = float(np.mean(dist[m, nbrs])) if nbrs else 0.0
-    return UMatrix(values.reshape(grid.rows, grid.cols))
+    return _umatrix(model.grid, space, model.gamma)
 
 
 def som_partition(model: SomModel) -> Partition:

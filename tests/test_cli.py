@@ -615,6 +615,94 @@ def test_map_of_a_huge_umatrix_draws(tmp_path, values):
     assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
+# a file name that is not valid UTF-8 is legal on Linux, and Python hands
+# it over with surrogate escapes
+NON_UTF8_NAME = os.fsdecode(b"caf\xe9.tsv")
+
+
+@pytest.mark.skipif(sys.getfilesystemencoding() != "utf-8",
+                    reason="needs surrogate escapes in file names")
+@pytest.mark.parametrize("command", ["cluster", "stats"])
+def test_path_a_report_cannot_hold_exits_2_before_reading(tmp_path, capsys,
+                                                          monkeypatch, command):
+    graph = clique_file(tmp_path / NON_UTF8_NAME)
+    # cluster without --report records no path, so it takes the name
+    assert cluster_spectral(graph, tmp_path / "p.json") == 0
+    if command == "stats":
+        argv = ["stats", "--input", graph, "--partition", str(tmp_path / "p.json")]
+    else:
+        argv = ["cluster", "--input", graph, "--method", "spectral", "--k", "2",
+                "--seed", "0", "--out", str(tmp_path / "q.json"),
+                "--report", str(tmp_path / "r.json")]
+
+    def unread(*args):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("graphsom.pipeline.load_edge_list", unread)
+    files = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"graphsom: path {graph!r} is not valid UTF-8; a report "
+                   "cannot hold it\n")
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+def _deep_nesting():
+    return "[" * 100_000 + "]" * 100_000
+
+
+def _long_integer():
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this interpreter converts integers of any length")
+    return json.dumps({"schema": "graphsom/partition",
+                       "assignment": {"n0": "BIG"}}).replace('"BIG"', "9" * (digits + 1))
+
+
+def _unpaired_surrogate():
+    # json.dumps writes the lone surrogate as the escape \udce9
+    return json.dumps({"schema": "graphsom/partition", "method": "spec\udce9",
+                       "assignment": {f"n{i}": i // 4 for i in range(8)}})
+
+
+@pytest.mark.parametrize("command", ["stats", "attrs", "layout"])
+@pytest.mark.parametrize("text", [_deep_nesting, _long_integer, _unpaired_surrogate],
+                         ids=["deep nesting", "long integer", "unpaired surrogate"])
+def test_document_python_cannot_hold_exits_3(tmp_path, capsys, command, text):
+    graph = clique_file(tmp_path / "g.tsv")
+    doc = _write(tmp_path / "d.json", text())
+    argv = {"stats": ["stats", "--input", graph, "--partition", doc],
+            "attrs": ["attrs", "--partition", doc, "--attributes",
+                      _write(tmp_path / "t.tsv", "n0\tage\t30\n"),
+                      "--out", str(tmp_path / "s.json")],
+            "layout": ["layout", "--mode", "summary", "--input", graph,
+                       "--partition", doc, "--svg", str(tmp_path / "x.svg"),
+                       "--seed", "0"]}[command]
+    files = sorted(os.listdir(tmp_path))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("graphsom: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+def test_stats_that_cannot_write_its_report_exits_1(tmp_path):
+    graph = _write(tmp_path / "café.tsv", "café\tb\t1.0\nb\tc\t1.0\n")
+    part = tmp_path / "p.json"
+    assert cluster_spectral(graph, part) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsom.cli", "stats", "--input", graph,
+         "--partition", str(part)],
+        env=package_env(PYTHONIOENCODING="ascii"), capture_output=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err = proc.stderr.decode("ascii")
+    assert err.startswith("graphsom: cannot write the report to standard output: ")
+    assert err.count("\n") == 1
+
+
 class TestEdgeListLabels:
     def test_labels_stripped_to_match_attribute_table(self, tmp_path):
         graph = tmp_path / "g.tsv"

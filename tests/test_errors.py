@@ -10,7 +10,7 @@ from graphsom.errors import NumericalError, ParseError, UsageError
 from graphsom.graph import Partition, WeightedGraph, summary_graph
 from graphsom.layout import Rect, constrained_full_layout, force_directed_layout
 from graphsom.linalg import eigendecompose_symmetric, heat_kernel, spectral_embedding
-from graphsom.som import SomGrid, SomModel, UMatrix, batch_som
+from graphsom.som import SomGrid, SomModel, batch_som
 from graphgen import two_cliques
 
 POINTS = np.arange(12.0).reshape(6, 2)
@@ -84,7 +84,6 @@ def test_grid_above_the_unit_limit(monkeypatch):
 
 # (id, part of the message, call)
 LIBRARY_CHECKS = [
-    ("UMatrix.upsampled", "factor", lambda: UMatrix(np.zeros((2, 2))).upsampled(0)),
     ("non-square laplacian", "square",
      lambda: spectral_embedding(np.zeros((2, 3)), 1)),
     ("empty matrix", "order >= 1",

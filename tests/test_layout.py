@@ -38,13 +38,6 @@ class TestRect:
         assert r.center == (7.0, 5.0)
         assert r.diagonal == pytest.approx(np.hypot(10.0, 4.0))
 
-    def test_shrunk(self):
-        inner = Rect(0.0, 0.0, 100.0, 200.0).shrunk(0.05)
-        assert inner.x == 5.0 and inner.y == 10.0
-        assert inner.width == 90.0 and inner.height == 180.0
-        with pytest.raises(ValueError, match="fraction"):
-            Rect(0, 0, 1, 1).shrunk(0.5)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="finite"):
             Rect(0.0, np.nan, 1.0, 1.0)
@@ -183,7 +176,7 @@ def reference_anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
 
 def count_blocks(monkeypatch):
     """Record the (2, m, m) shape of every whole lone block ``_anneal`` runs;
-    a partial pass's rows are at most a quarter of its block, never square."""
+    a partial pass's rows are at most half of its block, never square."""
     shapes = []
     kernel = layout._pair_terms
 
@@ -414,6 +407,17 @@ class TestAnneal:
             + [(2, 1, m) for m in lone] * (len(steps) - 1)
         computed = sum(np.prod(s[1:]) for s in shapes if len(s) == 3)
         assert computed <= 0.2 * len(steps) * sum(m * m for m in lone)
+
+    @pytest.mark.parametrize("free, rows", [(20, 20), (21, 40)])
+    def test_partial_pass_covers_up_to_half_a_block(self, monkeypatch, free, rows):
+        # a lone block of 40 recomputes only the moved points' rows while at
+        # most half its points move, and the whole block once more do
+        kw = self.pinned_input([40], free=free, seed=9)
+        shapes = count_terms(monkeypatch)
+        steps = record_steps(monkeypatch)
+        np.testing.assert_array_equal(_anneal(**kw), reference_anneal(**kw))
+        assert [int(mask[:40].sum()) for mask in steps[1:]] == [free] * (len(steps) - 1)
+        assert shapes == [(2, 40, 40)] + [(2, rows, 40)] * (len(steps) - 1)
 
     def test_every_point_moving_recomputes_each_block_once(self, monkeypatch):
         # summary mode: one group, every point moves in every step
@@ -763,16 +767,17 @@ class TestConstrainedFullLayout:
         assert scene.item_groups.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_matches_the_reference_from_its_stated_start(self):
-        # each vertex starts uniformly in its unit's inner cell, which also
-        # clips it; k and the start temperature come from the whole frame
+        # each vertex starts uniformly in its unit's cell inset by 5% of a
+        # side, which also clips it; k and the start temperature come from
+        # the whole frame
         g = random_graph(30, rng=9)
         assignment = np.random.default_rng(1).integers(0, 5, 30)
         model = uniform_model(SomGrid(2, 3), assignment)
         frame = Rect(0.0, 0.0, 3 * CELL_SIDE, 2 * CELL_SIDE)
-        inner = [Rect((u % 3) * CELL_SIDE, (u // 3) * CELL_SIDE, CELL_SIDE,
-                      CELL_SIDE).shrunk(0.05) for u in assignment]
-        origin = np.array([[box.x, box.y] for box in inner])
-        span = np.array([[box.width, box.height] for box in inner])
+        margin = CELL_SIDE * 0.05
+        origin = np.array([[(u % 3) * CELL_SIDE + margin,
+                            (u // 3) * CELL_SIDE + margin] for u in assignment])
+        span = np.full((30, 2), CELL_SIDE - 2.0 * margin)
         rng = np.random.default_rng(np.random.SeedSequence(4))
         start = origin + rng.random((30, 2)) * span
         i, j, w = g.edge_arrays

@@ -309,3 +309,10 @@ class TestKernelMatrixType:
         k = KernelMatrix(np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(k.diagonal, [2.0, 3.0])
         assert np.trace(k.matrix) == 5.0
+
+    def test_diagonal_is_a_read_only_view_of_the_matrix(self):
+        k = KernelMatrix(np.array([[2.0, 0.5], [0.5, 3.0]]))
+        assert not k.diagonal.flags.writeable
+        assert np.shares_memory(k.diagonal, k.matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            k.diagonal[0] = 1.0

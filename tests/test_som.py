@@ -26,9 +26,10 @@ def random_gram(rng, n, p=3):
     return KernelMatrix((gram + gram.T) / 2.0)
 
 
-def reference_train(space, grid, epochs, radius, seed):
-    """The training loop written plainly: every epoch's distances come from
-    the full product gamma Phi Phi^T of ``space.cross(gamma)``.
+def reference_train(data, grid, epochs, radius, seed):
+    """The training loop written plainly on the feature space of ``data``:
+    every epoch's distances come from the full product gamma Phi Phi^T of
+    ``space.cross(gamma)``.
 
     Training reaches the same distances through per-unit sums, in another
     order, so the two agree on the energy trace up to rounding and, away
@@ -38,6 +39,7 @@ def reference_train(space, grid, epochs, radius, seed):
     smoothed score, and rounding picks the winner. So the inputs below have
     two or more dimensions.
     """
+    space = _FeatureSpace(data)
     start, end = som_module._check_schedule(grid, epochs, radius)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gamma = som_module._initial_gamma(rng, grid.num_units, space.n)
@@ -57,7 +59,7 @@ def reference_train(space, grid, epochs, radius, seed):
         trace.append(float((influence * dist2).sum()))
     model = SomModel(grid, gamma, som_module._smoothed_bmu(dist2, hn),
                      np.array(trace))
-    return replace(model, umatrix=u_matrix(model, space))
+    return replace(model, umatrix=u_matrix(model, data))
 
 
 def assert_same_training(model, expected):
@@ -82,7 +84,7 @@ class TestTrainingOracle:
             seed = int(rng.integers(1 << 30))
             assert_same_training(
                 batch_kernel_som(kern, grid, epochs=epochs, seed=seed),
-                reference_train(_FeatureSpace(kern), grid, epochs, None, seed))
+                reference_train(kern, grid, epochs, None, seed))
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 7)])
     @pytest.mark.parametrize("epochs", [1, 15])
@@ -95,7 +97,7 @@ class TestTrainingOracle:
             seed = int(rng.integers(1 << 30))
             assert_same_training(
                 batch_som(pts, grid, epochs=epochs, seed=seed),
-                reference_train(_FeatureSpace(pts), grid, epochs, None, seed))
+                reference_train(pts, grid, epochs, None, seed))
 
     @pytest.mark.parametrize("view", ["kernel", "points"])
     def test_full_product_count_does_not_grow_with_epochs(self, monkeypatch, view):
@@ -160,7 +162,7 @@ class TestDeadUnits:
             warnings.simplefilter("error")
             explicit = batch_som(pts, self.GRID, **self.KW)
             kernel = batch_kernel_som(gram, self.GRID, **self.KW)
-            reference = reference_train(_FeatureSpace(pts), self.GRID,
+            reference = reference_train(pts, self.GRID,
                                         self.KW["epochs"], self.KW["radius"],
                                         self.KW["seed"])
         assert_same_training(explicit, reference)
@@ -422,14 +424,14 @@ class TestUMatrix:
         assert u_k.values.max() > 0.0
 
     def test_contributions_symmetric(self):
-        from graphsom.linalg import _FeatureSpace
-        from graphsom.som import _prototype_distances
+        # each unit's one neighbor is the other, and the distance between
+        # two prototypes is the same bits from either end
         rng = np.random.default_rng(16)
-        kern = random_gram(rng, 10)
-        model = batch_kernel_som(kern, SomGrid(2, 3), epochs=10, seed=17)
-        d = _prototype_distances(_FeatureSpace(kern), model.gamma)
-        assert (d == d.T).all()
-        assert (np.diagonal(d) == 0.0).all()
+        for shape in [(1, 2), (2, 1)] * 4:
+            kern = random_gram(rng, 10)
+            gamma = rng.dirichlet(np.ones(10), size=2)
+            u = u_matrix(self.make_model(gamma, SomGrid(*shape)), kern).values
+            assert u.ravel()[0] == u.ravel()[1] > 0.0
 
     def test_data_size_mismatch(self):
         model = self.make_model(np.eye(2), SomGrid(1, 2))
@@ -439,19 +441,18 @@ class TestUMatrix:
             u_matrix(model, np.zeros((5, 2)))
 
     def test_upsampled_shape_and_edges(self):
+        # sample i of 16 reads source position (i + 0.5) / 8 - 0.5, clamped
         u = UMatrix(np.array([[0.0, 1.0]]))
-        up = u.upsampled(2)
-        assert up.shape == (2, 4)
-        np.testing.assert_allclose(up[0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
-        np.testing.assert_allclose(up[0], up[1])
-
-    def test_upsampled_factor_one_is_copy(self):
-        u = UMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(u.upsampled(1), u.values)
+        up = u.upsampled()
+        assert up.shape == (8, 16)
+        expect = np.clip((np.arange(16) + 0.5) / 8 - 0.5, 0.0, 1.0)
+        np.testing.assert_allclose(up[0], expect, atol=1e-12)
+        assert up[0, :4].tolist() == [0.0] * 4 and up[0, 12:].tolist() == [1.0] * 4
+        np.testing.assert_array_equal(up, np.tile(up[0], (8, 1)))
 
     def test_upsampled_constant_field(self):
         u = UMatrix(np.full((3, 3), 2.5))
-        np.testing.assert_allclose(u.upsampled(8), 2.5)
+        np.testing.assert_allclose(u.upsampled(), 2.5)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -485,6 +486,23 @@ class TestUMatrix:
         np.testing.assert_array_equal(model.umatrix.values,
                                       u_matrix(model, embedded).values)
         assert model.umatrix.values.max() > 0.0
+
+    @pytest.mark.parametrize("view", ["kernel", "points"])
+    def test_training_builds_its_model_once(self, monkeypatch, view):
+        # the model is checked and frozen once, with its u-matrix already in
+        calls = []
+        check = SomModel.__post_init__
+
+        def counting(model):
+            calls.append(model.umatrix)
+            return check(model)
+
+        monkeypatch.setattr(SomModel, "__post_init__", counting)
+        pts = np.random.default_rng(25).normal(size=(12, 3))
+        data = KernelMatrix(pts @ pts.T) if view == "kernel" else pts
+        train = batch_kernel_som if view == "kernel" else batch_som
+        model = train(data, SomGrid(2, 3), epochs=5, seed=26)
+        assert len(calls) == 1 and calls[0] is model.umatrix
 
     def test_model_rejects_mis_shaped_umatrix(self):
         with pytest.raises(ValueError, match="umatrix must have shape"):
