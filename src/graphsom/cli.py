@@ -142,6 +142,8 @@ def _dispatch(args: argparse.Namespace) -> None:
                    seed=args.seed)
     else:
         text = document_bytes(run_stats(args.input, args.partition)).decode("utf-8")
+        if sys.stdout is None:  # descriptor 1 was closed at start
+            raise OSError("cannot write the report: standard output is closed")
         try:
             sys.stdout.write(text)
         except UnicodeEncodeError as exc:

@@ -414,11 +414,11 @@ def _grid_frame_and_cells(grid) -> tuple[Rect, tuple[Rect, ...]]:
 def som_map_scene(model: SomModel, sg: ClusterSummaryGraph) -> LayoutScene:
     """Place one glyph per nonempty unit at its grid coordinate.
 
-    ``sg`` must be the summary of ``som_partition(model)``: glyph c is drawn
-    in the cell of the c-th nonempty unit, row-major, and a cluster count or
-    size that differs from those units' vertex counts raises. The frame is
-    the unit grid scaled by ``CELL_SIDE``, so a u-matrix raster drawn over
-    the full frame lines up with the cells.
+    ``sg`` must summarize a partition, in any vertex order, whose cluster c
+    is the c-th nonempty unit, row-major: glyph c is drawn in its cell, and
+    a cluster count or size other than those units' vertex counts raises.
+    The frame is the unit grid scaled by ``CELL_SIDE``, so a u-matrix raster
+    drawn over the full frame lines up with the cells.
     """
     counts = model.unit_counts()
     units = np.flatnonzero(counts)

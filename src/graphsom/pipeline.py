@@ -275,7 +275,7 @@ def _json_list(values, kinds, rule: str) -> list:
 
 def model_from_document(doc: dict) -> SomModel:
     """Rebuild the map under a document's ``model`` key, in label-table
-    order; its units must number as the clusters."""
+    order; its clusters must be its nonempty units, cluster c the c-th."""
     try:
         block = doc["model"]
         dims = _json_list([block["grid"]["rows"], block["grid"]["cols"]], int,
@@ -290,9 +290,10 @@ def model_from_document(doc: dict) -> SomModel:
                                           "u-matrix entries must be numbers")
                                for row in rows])
         model = SomModel(SomGrid(*dims), None, units, trace, umatrix)
-        if not np.array_equal(som_partition(model).assignment,
-                              list(doc["assignment"].values())):
-            raise ValueError("units disagree with the label table's cluster ids")
+        part = som_partition(model)
+        if doc.get("num_clusters", part.k) != part.k or not np.array_equal(
+                part.assignment, list(doc["assignment"].values())):
+            raise ValueError("units disagree with num_clusters or the label table's ids")
         return model
     # OverflowError: a JSON integer beyond int64, or a float's range
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -589,17 +590,17 @@ def run_layout(mode: str, input_path, *, partition_path=None, model_path=None,
         if model is None:
             raise UsageError("document holds no trained map; "
                              "pass a partition produced by a som method")
-        # cluster c is the c-th nonempty unit; np.unique would import numpy.ma
-        units = np.flatnonzero(model.unit_counts())
-        model = replace(model, assignment=units[part.assignment])
         if mode == "full":
+            # cluster c is the c-th nonempty unit; np.unique would import numpy.ma
+            units = np.flatnonzero(model.unit_counts())
+            model = replace(model, assignment=units[part.assignment])
             dot_subject = g
             scene = constrained_full_layout(g, model, iterations, seed)
         elif model.umatrix is None:
             raise UsageError("model holds no u-matrix; re-run cluster "
                              "to draw its map")
         else:
-            dot_subject = summary_graph(g, som_partition(model))
+            dot_subject = summary_graph(g, part)
             scene = som_map_scene(model, dot_subject)
             umatrix = model.umatrix.upsampled()
 

@@ -77,21 +77,17 @@ class SomGrid:
         d.setflags(write=False)
         return d
 
-    def neighborhood(self, sigma: float) -> np.ndarray:
-        """Gaussian neighborhood weights h(d) = exp(-d^2 / (2 sigma^2))."""
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        # at a tiny sigma far units get exp(-inf) = 0, their limit
-        with np.errstate(over="ignore"):
-            return np.exp(-self.distance_matrix ** 2 / (2.0 * sigma * sigma))
-
     def normalized_neighborhood(self, sigma: float) -> np.ndarray:
-        """Neighborhood with each unit's row scaled to sum 1.
+        """Gaussian weights h(d) = exp(-d^2 / (2 sigma^2)), each unit's row summing to 1.
 
         Row sums of the raw Gaussian differ between border and interior
         units; normalizing keeps the smoothed winner rule unbiased.
         """
-        h = self.neighborhood(sigma)
+        if sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        # at a tiny sigma far units get exp(-inf) = 0, their limit
+        with np.errstate(over="ignore"):
+            h = np.exp(-self.distance_matrix ** 2 / (2.0 * sigma * sigma))
         return h / h.sum(axis=1, keepdims=True)
 
     def grid_neighbors(self, m: int) -> list[int]:

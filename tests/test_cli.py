@@ -703,6 +703,20 @@ def test_stats_that_cannot_write_its_report_exits_1(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_stats_with_standard_output_closed_exits_1(tmp_path):
+    # Python starts with sys.stdout None when descriptor 1 is closed
+    graph = _write(tmp_path / "g.tsv", "a\tb\t1.0\nb\tc\t1.0\n")
+    part = tmp_path / "p.json"
+    assert cluster_spectral(graph, part) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsom.cli", "stats", "--input", graph,
+         "--partition", str(part)],
+        env=package_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == b"graphsom: cannot write the report: standard output is closed\n"
+
+
 class TestEdgeListLabels:
     def test_labels_stripped_to_match_attribute_table(self, tmp_path):
         graph = tmp_path / "g.tsv"

@@ -26,8 +26,8 @@ from graphsom.pipeline import (
     run_layout,
     run_stats,
 )
-from graphsom.som import SomGrid, SomModel, batch_kernel_som, default_radius, \
-    som_partition, spectral_som, u_matrix
+from graphsom.som import SomGrid, SomModel, UMatrix, batch_kernel_som, \
+    default_radius, som_partition, spectral_som, u_matrix
 from graphgen import edge_list, random_graph, two_cliques
 
 
@@ -390,6 +390,16 @@ class TestPartitionDocuments:
         with pytest.raises(ParseError, match="disagree"):
             model_from_document(doc)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_num_clusters_must_count_the_nonempty_units(self, k):
+        # a map drawing has one glyph per nonempty unit and per cluster
+        doc = self.hand_doc()
+        doc["num_clusters"] = k
+        with pytest.raises(ParseError, match="num_clusters"):
+            model_from_document(doc)
+        doc["num_clusters"] = 2
+        assert model_from_document(doc).num_vertices == 2
+
     def test_model_from_document_has_no_gamma(self):
         model = model_from_document(self.hand_doc())
         assert model.gamma is None
@@ -621,6 +631,34 @@ class TestRunLayoutAndStats:
         assert b'class="umatrix"' in data
         assert b'class="glyphs"' in data
         assert dot.read_bytes().startswith(b"graph clusters {")
+
+    @pytest.mark.parametrize("mode, built", [("map", (1, 2, 1)), ("full", (2, 1, 2))],
+                             ids=["map", "full"])
+    def test_drawing_builds_the_stored_map_once(self, tmp_path, monkeypatch, mode,
+                                                built):
+        # maps, u-matrices and partitions: the map is read once in label-table
+        # order, and only the full drawing puts it in graph order again; the
+        # map drawing's second u-matrix is its enlarged raster
+        doc = self.som_doc(tmp_path)
+        counts = dict.fromkeys(("map", "umatrix", "partition"), 0)
+
+        def counting(key, call):
+            def wrapped(*args):
+                counts[key] += 1
+                return call(*args)
+            return wrapped
+
+        monkeypatch.setattr(SomModel, "__post_init__",
+                            counting("map", SomModel.__post_init__))
+        monkeypatch.setattr(UMatrix, "__post_init__",
+                            counting("umatrix", UMatrix.__post_init__))
+        for module in ("graphsom.pipeline", "graphsom.layout"):
+            monkeypatch.setattr(f"{module}.som_partition",
+                                counting("partition", som_partition))
+        run_layout(mode, tmp_path / "graph.tsv", model_path=doc,
+                   svg_path=tmp_path / "out.svg",
+                   iterations=10 if mode == "full" else None, seed=0)
+        assert (counts["map"], counts["umatrix"], counts["partition"]) == built
 
     def test_map_layout_runs_no_eigensolve(self, tmp_path, monkeypatch):
         doc = self.som_doc(tmp_path)

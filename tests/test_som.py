@@ -189,11 +189,13 @@ class TestSomGrid:
         assert (d == d.T).all()
 
     def test_neighborhood_range(self):
+        # each row is the Gaussian exp(-d^2 / 2) of its unit, scaled to sum 1
         g = SomGrid(2, 2)
-        h = g.neighborhood(1.0)
-        assert h[0, 0] == 1.0
-        assert h[0, 1] == pytest.approx(np.exp(-0.5))
-        assert h[0, 3] == pytest.approx(np.exp(-1.0))
+        h = g.normalized_neighborhood(1.0)
+        np.testing.assert_allclose(h.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert h[0, 1] / h[0, 0] == pytest.approx(np.exp(-0.5))
+        assert h[0, 3] / h[0, 0] == pytest.approx(np.exp(-1.0))
+        assert h[0, 0] == pytest.approx(1.0 / (1.0 + 2.0 * np.exp(-0.5) + np.exp(-1.0)))
 
     def test_grid_neighbors(self):
         g = SomGrid(3, 3)
@@ -205,7 +207,7 @@ class TestSomGrid:
         with pytest.raises(ValueError, match="grid"):
             SomGrid(0, 3)
         with pytest.raises(ValueError, match="sigma"):
-            SomGrid(2, 2).neighborhood(0.0)
+            SomGrid(2, 2).normalized_neighborhood(0.0)
 
     def test_default_radius(self):
         assert default_radius(SomGrid(7, 7)) == (3.5, 0.5)

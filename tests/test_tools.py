@@ -1,9 +1,12 @@
 """The output comparison tool names each differing value by its key path, and
-the benchmark recorder names and counts the sources it measured."""
+the benchmark recorder names and counts the sources it measured and gives
+each metric the verdict its docstring's rule states."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +76,78 @@ def test_bench_record_counts_the_source_lines(tmp_path):
     assert tool.src_lines(str(tmp_path)) == 3
     assert [rel for rel, _ in tool.src_files(str(tmp_path))] == \
         ["pkg/__init__.py", "pkg/sub.py"]
+
+
+def synthetic_runs(metrics):
+    """Ten alternating pairs of runs of one workload; ``metrics`` maps each
+    metric to a function of the pair giving its (parent, change) values."""
+    runs = []
+    for pair in range(10):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            values = {name: {"value": of(pair)[0 if side == "parent" else 1]}
+                      for name, of in metrics.items()}
+            runs.append({"pair": pair, "side": side, "exit_status": 0,
+                         "record": {"results": {"w": {"metrics": values}}}})
+    return runs
+
+
+def test_bench_record_verdicts_follow_the_stated_rule():
+    tool = load_tool("bench_record")
+    drift = [0.99, 1.01] * 5  # the control wins 5 pairs and loses 5
+
+    def scaled(ratios, base=1.0):
+        return lambda pair: (base, base * ratios[pair])
+
+    runs = synthetic_runs({
+        "setup_s": scaled(drift),
+        # 9 of 10 pairs won with every won ratio well below 1
+        "pipeline_s": scaled([0.9] * 9 + [1.05]),
+        # 8 of 10 pairs won: not enough
+        "cluster_s": scaled([0.9] * 8 + [1.05] * 2),
+        # every pair lost
+        "layout_s": scaled([1.1] * 10),
+        # every pair lower, by half a megabyte of 100
+        "peak_rss_mb": scaled([0.995] * 10, base=100.0),
+    })
+    paired = tool.summary(runs)["paired"]["w"]
+    assert {metric: entry["verdict"] for metric, entry in paired.items()} == {
+        "setup_s": "control", "pipeline_s": "faster", "cluster_s": "no change shown",
+        "layout_s": "slower", "peak_rss_mb": "no change shown"}
+    pipeline = paired["pipeline_s"]
+    assert pipeline["ratios"] == [0.9] * 9 + [1.05]
+    assert (pipeline["pairs_won"], pipeline["pairs_lost"]) == (9, 1)
+    assert pipeline["median"] == 0.9
+    assert (pipeline["q1"], pipeline["q3"]) == (0.9, 0.9)
+    assert paired["setup_s"]["pairs_won"] == 5
+    assert paired["peak_rss_mb"]["median_difference"] == \
+        pytest.approx(-0.5)
+
+    # the same gain beside a control that drifts the same way shows nothing
+    runs = synthetic_runs({"setup_s": scaled([0.95] * 8 + [1.01] * 2),
+                           "pipeline_s": scaled([0.9] * 10),
+                           "peak_rss_mb": scaled([0.98] * 9 + [1.0], base=100.0)})
+    verdicts = {m: e["verdict"] for m, e in tool.summary(runs)["paired"]["w"].items()}
+    assert verdicts == {"setup_s": "control", "pipeline_s": "no change shown",
+                        "peak_rss_mb": "smaller"}
+
+    # a run that wrote no record drops its pair from the comparison
+    runs[0]["record"] = None
+    assert len(tool.summary(runs)["paired"]["w"]["pipeline_s"]["ratios"]) == 9
+
+
+def test_bench_record_verdicts_of_the_committed_records():
+    # the two gains the records were written for, and nothing else
+    tool = load_tool("bench_record")
+    found = []
+    for label in ("pr16", "pr22", "pr23", "pr24", "pr25", "pr26", "pr28", "pr29",
+                  "pr30"):
+        record = json.loads((ROOT / f"BENCH_{label}.json").read_text(encoding="utf-8"))
+        for workload, metrics in tool.summary(record["runs"])["paired"].items():
+            found += [(label, workload, metric, entry["verdict"])
+                      for metric, entry in metrics.items()
+                      if entry["verdict"] not in ("control", "no change shown")]
+    assert sorted(found) == [
+        ("pr16", "landmark-drawing", "layout_s", "faster"),
+        ("pr16", "landmark-drawing", "pipeline_s", "faster"),
+        ("pr24", "clusterings-1500", "cluster_s", "faster"),
+        ("pr24", "landmark-drawing", "cluster_s", "faster")]
