@@ -208,7 +208,7 @@ def partition_stats(g: WeightedGraph, p: Partition) -> PartitionStats:
         raise ValueError(f"partition covers {p.num_vertices} vertices, "
                          f"graph has {g.num_vertices}")
     sizes = p.sizes()
-    sizes = sizes[sizes > 0]
+    sizes = np.sort(sizes[sizes > 0])  # np.percentile would import numpy.ma
     if g.total_weight > 0:
         q = q_modularity(g, p)
     else:
@@ -218,6 +218,7 @@ def partition_stats(g: WeightedGraph, p: Partition) -> PartitionStats:
         num_clusters=int(sizes.size),
         num_singletons=int((sizes == 1).sum()),
         max_size=int(sizes.max()),
-        median_size=float(np.percentile(sizes, 50)),
-        third_quartile_size=float(np.percentile(sizes, 75)),
+        median_size=float(np.median(sizes)),
+        third_quartile_size=float(np.interp(0.75 * (sizes.size - 1),
+                                            np.arange(sizes.size), sizes)),
     )

@@ -303,7 +303,7 @@ def _anneal(pos, edges, norm_weights, iterations, k, lo, hi, temp0,
     small = [g for g in groups if g.size <= _PAIR_LIST_MAX]
     large = [g for g in groups if g.size > _PAIR_LIST_MAX]
     grouped = np.concatenate([np.zeros(0, dtype=np.int64), *small, *large])
-    rest = np.setdiff1d(np.arange(n), grouped)
+    rest = np.delete(np.arange(n), grouped)  # np.setdiff1d would import numpy.ma
     order = np.concatenate([grouped, rest])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)

@@ -199,25 +199,19 @@ class _FeatureSpace:
         return np.maximum(d2, 0.0, out=d2)
 
 
-def heat_kernel(laplacian, beta: float) -> KernelMatrix:
-    """Diffusion kernel exp(-beta * L) of a graph Laplacian.
-
-    Computed through the full eigendecomposition, which validates L, as
-    S S^T with S = V exp(-beta Lambda / 2), which numpy returns exactly
-    symmetric and the kernel copies once V is dropped. At beta = 0 the
-    kernel is the identity and no eigensolve runs. A beta that zeroes every
-    mode above L's null space raises UsageError. Because L annihilates the
-    constant vector, every row of the result sums to 1; because the
-    exponentiated spectrum is positive, the result is positive semi-definite
-    by construction.
-    """
-    b = float(beta)
-    if not np.isfinite(b) or b < 0:
+def _check_beta(beta) -> None:
+    if not 0 <= float(beta) < np.inf:
         raise UsageError(f"beta must be a finite nonnegative real, got {beta!r}")
-    if b == 0.0:
-        lap = _checked_symmetric(laplacian, "laplacian")
-        return KernelMatrix(np.eye(lap.shape[0]))
-    decomp = eigendecompose_symmetric(laplacian)
+
+
+def _check_p(p: int, n: int) -> None:
+    if not 1 <= p <= n:
+        raise UsageError(f"p must be in 1..{n}, got {p}")
+
+
+def _heat_kernel_of(decomp: EigenDecomposition, beta) -> KernelMatrix:
+    """exp(-beta * L) from L's spectrum, for a checked beta > 0; scales V in place."""
+    b = float(beta)
     lam = decomp.eigenvalues
     with np.errstate(over="ignore"):
         damped = np.exp(-b * lam)
@@ -228,22 +222,35 @@ def heat_kernel(laplacian, beta: float) -> KernelMatrix:
                          "exp(-beta * lambda) vanishes on every non-null mode "
                          "of the Laplacian, or overflows on rounding noise "
                          "in its zero eigenvalues")
-    # the column signs fixed by the eigensolve cancel in S S^T
+    # the eigensolve's column signs cancel in S S^T, which numpy makes exactly symmetric
     s = decomp.eigenvectors
     s *= np.exp(-b * lam / 2.0)
     k = s @ s.T
-    # drop V first, so the kernel's copy of K does not raise the peak
+    # drop V unless the caller holds it, so the copy of K does not raise the peak
     del decomp, s
     return KernelMatrix(k)
+
+
+def heat_kernel(laplacian, beta: float) -> KernelMatrix:
+    """Diffusion kernel exp(-beta * L) of a graph Laplacian.
+
+    Derived from the full eigendecomposition, which validates L, as S S^T
+    with S = V exp(-beta Lambda / 2). At beta = 0 the kernel is the identity
+    and no eigensolve runs. A beta that zeroes every mode above L's null
+    space raises UsageError. Because L annihilates the constant vector,
+    every row of the result sums to 1; because the exponentiated spectrum is
+    positive, the result is positive semi-definite by construction.
+    """
+    _check_beta(beta)
+    if float(beta) == 0.0:
+        return KernelMatrix(np.eye(len(_checked_symmetric(laplacian, "laplacian"))))
+    return _heat_kernel_of(eigendecompose_symmetric(laplacian), beta)
 
 
 def spectral_embedding(laplacian, p: int) -> np.ndarray:
     """Map vertices to p-space using the eigenvectors of the p smallest eigenvalues.
 
-    Row i is vertex i's coordinate vector. All p eigenvectors enter with equal
-    weight.
+    Row i, vertex i's coordinates, is row i of a copy of V[:, :p], unscaled.
     """
-    n = len(laplacian)
-    if not 1 <= p <= n:
-        raise UsageError(f"p must be in 1..{n}, got {p}")
+    _check_p(p, len(laplacian))
     return eigendecompose_symmetric(laplacian).eigenvectors[:, :p].copy()

@@ -17,13 +17,12 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from . import graph
+from . import graph, linalg
 from .cluster import DEFAULT_RESTARTS, _check_kmeans, kmeans, partition_stats, \
     q_modularity
 from .errors import ParseError, UsageError
 from .graph import Partition, WeightedGraph, _tab_rows, load_edge_list, read_text, \
     summary_graph
-from .linalg import heat_kernel, spectral_embedding
 from .som import DEFAULT_EPOCHS, SomGrid, SomModel, UMatrix, _check_schedule, \
     batch_som, default_radius, som_partition
 
@@ -57,7 +56,7 @@ class RunConfig:
     Optional knobs default to ``None`` meaning "not given"; method-specific
     defaults are filled in by :meth:`resolved`. Knobs that do not apply to
     the chosen method are rejected outright so typos fail loudly. Value
-    ranges are checked once, by the library functions that use them.
+    ranges are checked once, by the library's check of each knob.
     """
 
     input: str
@@ -356,24 +355,26 @@ def report_document(g: WeightedGraph, part: Partition, config: dict) -> dict:
 def run_cluster(config: RunConfig) -> dict:
     """Cluster a graph per the config; write the partition and any report.
 
-    Both documents are written or neither is. Returns
-    ``{"partition": doc, "report": doc or None}`` with the documents that
-    were written.
+    One eigendecomposition of L (none at beta 0) gives the feature map, and
+    L and the decomposition are freed before k-means or the map trains. Both
+    documents are written or neither is; returns ``{"partition": doc,
+    "report": doc or None}`` with the documents that were written.
     """
     _refuse_shared_target(config.out, config.report)
     if config.report is not None:
         _refuse_unrecordable(config.input, config.out, config.report)
     cfg = config.resolved()
     g = load_edge_list(config.input)
-    seed = config.seed
     # range checks that would otherwise wait for the eigensolve
     if cfg["grid"] is not None:
         grid = SomGrid(**cfg["grid"])
         _check_schedule(grid, cfg["epochs"], cfg["radius"])
     else:
         _check_kmeans(cfg["k"], g.num_vertices, cfg["restarts"])
-    # one feature map, spectral or heat kernel (the methods that take a
-    # beta), then one engine, k-means or the map
+    if cfg["beta"] is None:
+        linalg._check_p(cfg["p"], g.num_vertices)
+    else:
+        linalg._check_beta(cfg["beta"])
     try:
         # OpenBLAS maps a 32 MB work buffer at its first level-3 call and
         # ends the process with status 1 if it cannot. Reserving more than
@@ -381,15 +382,18 @@ def run_cluster(config: RunConfig) -> dict:
         # before any n x n array, makes running out of it a MemoryError
         np.empty(40 << 20, dtype=np.uint8)
         np.ones((256, 256)) @ np.ones((256, 256))
-        if cfg["beta"] is None:
-            features = spectral_embedding(g.laplacian(), cfg["p"])
-        else:
-            features = heat_kernel(g.laplacian(), cfg["beta"])
+        if cfg["beta"] == 0:
+            features = linalg.heat_kernel(g.laplacian(), 0.0)  # I, with no eigensolve
+        else:  # L is freed when the eigensolve returns, V before the engine runs
+            spectrum = linalg.eigendecompose_symmetric(g.laplacian())
+            features = (spectrum.eigenvectors[:, :cfg["p"]].copy() if cfg["beta"] is None
+                        else linalg._heat_kernel_of(spectrum, cfg["beta"]))
+            del spectrum
         model = None
         if cfg["grid"] is None:
-            part = kmeans(features, cfg["k"], seed, cfg["restarts"]).partition
+            part = kmeans(features, cfg["k"], cfg["seed"], cfg["restarts"]).partition
         else:
-            model = batch_som(features, grid, cfg["epochs"], cfg["radius"], seed)
+            model = batch_som(features, grid, cfg["epochs"], cfg["radius"], cfg["seed"])
             part = som_partition(model)
     except MemoryError:
         # README "Memory": five dense n x n arrays, the edges, and the runtime

@@ -151,7 +151,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise NumericalError("eigensolver did not converge")
 
-        monkeypatch.setattr("graphsom.pipeline.heat_kernel", boom)
+        monkeypatch.setattr("graphsom.linalg.eigendecompose_symmetric", boom)
         code = main(["cluster", "--input", graph_file,
                      "--method", "kernel-kmeans", "--k", "2",
                      "--seed", "0", "--out", str(tmp_path / "p.json")])
@@ -1292,6 +1292,37 @@ def test_cli_import_loads_no_drawing_modules():
     assert "graphsom.cli" in loaded and "graphsom.pipeline" in loaded
     assert "graphsom.layout" not in loaded
     assert "graphsom.render" not in loaded
+
+
+def test_no_command_imports_masked_arrays(tmp_path):
+    # np.percentile, np.setdiff1d and np.unique import numpy.ma, which adds
+    # to the start-up of every command that calls them
+    graph = clique_file(tmp_path / "g.tsv", bridge=1.0)
+    model, svg = str(tmp_path / "p.json"), str(tmp_path / "x.svg")
+    table = _write(tmp_path / "t.tsv", "!schema\tage:numeric\nn0\tage\t30\n"
+                   "n1\tcolour\tred\n")
+    drawing = ["--input", graph, "--svg", svg, "--seed", "0"]
+    commands = [
+        ["cluster", "--input", graph, "--method", "kernel-som", "--grid", "2x2",
+         "--epochs", "5", "--seed", "0", "--out", model,
+         "--report", str(tmp_path / "r.json")],
+        ["stats", "--input", graph, "--partition", model],
+        ["attrs", "--partition", model, "--attributes", table,
+         "--out", str(tmp_path / "s.json")],
+        ["layout", "--mode", "summary", "--partition", model, *drawing],
+        ["layout", "--mode", "full", "--model", model, "--iterations", "10",
+         *drawing],
+        ["layout", "--mode", "map", "--model", model, *drawing],
+    ]
+    script = ("import json, sys\n"
+              "from graphsom.cli import main\n"
+              "code = main(json.loads(sys.argv[1]))\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              env=package_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False", (argv, proc.stderr)
 
 
 def test_package_attribute_loads_only_its_home():

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import graphsom.linalg as linalg
+import graphsom.pipeline as pipeline
 from graphsom.cluster import kernel_kmeans, spectral_clustering
 from graphsom.errors import ParseError, UsageError
 from graphsom.graph import load_edge_list
-from graphsom.linalg import heat_kernel
+from graphsom.linalg import heat_kernel, spectral_embedding
 from graphsom.pipeline import (
     ATTRIBUTE_SUMMARY_SCHEMA,
     PARTITION_SCHEMA,
@@ -226,6 +228,45 @@ class TestRunCluster:
             assert "model" not in pdoc
         assert pdoc["num_clusters"] == part.k
         assert pdoc["assignment"] == dict(zip(g.labels, part.assignment.tolist()))
+
+    @pytest.mark.parametrize("method, beta", [
+        *((method, None) for method in LIBRARY_RUNS),
+        ("kernel-kmeans", 0.0), ("kernel-som", 0.0)])
+    def test_features_come_from_one_eigensolve(self, tmp_path, monkeypatch,
+                                                method, beta):
+        # the engine receives spectral_embedding(L, p) or heat_kernel(L, beta),
+        # bit for bit, from the one eigensolve of the run (none at beta 0)
+        write_cliques(tmp_path / "graph.tsv", size=4, bridge=1.0)
+        knobs = dict(LIBRARY_RUNS[method][0])
+        if beta is not None:
+            knobs["beta"] = beta
+        solves, handed = [], []
+        real_eigensolve = linalg.eigendecompose_symmetric
+
+        def eigensolve(m):
+            solves.append(m)
+            return real_eigensolve(m)
+
+        def spy(real_engine):
+            def engine(features, *args):
+                handed.append(features)
+                return real_engine(features, *args)
+            return engine
+
+        monkeypatch.setattr(linalg, "eigendecompose_symmetric", eigensolve)
+        for name in ("kmeans", "batch_som"):
+            monkeypatch.setattr(pipeline, name, spy(getattr(pipeline, name)))
+        run_cluster(config_for(tmp_path, method, seed=5, **knobs))
+        assert len(solves) == (0 if beta == 0.0 else 1)
+        lap = load_edge_list(tmp_path / "graph.tsv").laplacian()
+        [features] = handed
+        if "p" in knobs:
+            expected = spectral_embedding(lap, knobs["p"])
+            assert features.dtype == expected.dtype
+            assert features.tobytes() == expected.tobytes()
+        else:
+            assert (features.matrix.tobytes()
+                    == heat_kernel(lap, knobs["beta"]).matrix.tobytes())
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         write_cliques(tmp_path / "graph.tsv", size=5)

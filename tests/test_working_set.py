@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+import graphsom.linalg as linalg
 import graphsom.pipeline as pipeline
 from graphsom import Partition, load_edge_list, summary_graph
 from graphsom.cluster import q_modularity
@@ -262,28 +263,31 @@ def test_command_holds_no_dense_array(command_inputs, command):
     assert peak_arrays(command_calls(command_inputs)[command]) <= parsing + 0.1
 
 
-@pytest.mark.parametrize("method, knobs, feature_map, engine", [
-    ("spectral", {"k": 7}, "spectral_embedding", "kmeans"),
-    ("kernel-som", {"grid": (3, 3), "epochs": 5}, "heat_kernel", "batch_som"),
+@pytest.mark.parametrize("method, knobs, engine", [
+    ("spectral", {"k": 7}, "kmeans"),
+    ("kernel-som", {"grid": (3, 3), "epochs": 5}, "batch_som"),
 ], ids=["spectral", "kernel-som"])
 def test_no_laplacian_outlives_its_feature_map(command_inputs, tmp_path, monkeypatch,
-                                               method, knobs, feature_map, engine):
-    laplacians, alive_at_engine = [], []
+                                               method, knobs, engine):
+    # neither L nor the eigenvectors of its one eigensolve are alive when the
+    # engine starts
+    arrays, alive_at_engine = [], []
 
-    def mapped(lap, *args):
-        laplacians.append(weakref.ref(lap))
-        return real_map(lap, *args)
+    def eigensolve(lap):
+        spectrum = real_eigensolve(lap)
+        arrays.extend(weakref.ref(a) for a in (lap, spectrum.eigenvectors))
+        return spectrum
 
     def engine_spy(*args):
-        alive_at_engine.extend(ref() is not None for ref in laplacians)
+        alive_at_engine.extend(ref() is not None for ref in arrays)
         return real_engine(*args)
 
-    real_map, real_engine = getattr(pipeline, feature_map), getattr(pipeline, engine)
-    monkeypatch.setattr(pipeline, feature_map, mapped)
+    real_eigensolve, real_engine = linalg.eigendecompose_symmetric, getattr(pipeline, engine)
+    monkeypatch.setattr(linalg, "eigendecompose_symmetric", eigensolve)
     monkeypatch.setattr(pipeline, engine, engine_spy)
     run_cluster(RunConfig(input=command_inputs["graph"], method=method, seed=0,
                           out=tmp_path / "p.json", **knobs))
-    assert alive_at_engine == [False]
+    assert alive_at_engine == [False, False]
 
 
 class TestCallerArrays:
